@@ -32,9 +32,7 @@ Subcommands:
 Flag conventions, uniform across subcommands: ``--jobs`` (worker
 processes), ``--cache-dir``/``--no-disk-cache`` (the persistent
 result cache), ``--smoke`` (tiny deterministic CI variant) and
-``--json PATH`` (machine-readable report).  The old spellings
-``--workers``, ``--cache`` and ``--json-out`` are kept as hidden
-aliases.
+``--json PATH`` (machine-readable report).
 """
 
 import argparse
@@ -163,26 +161,18 @@ def _configure_disk_cache(args):
 #
 # Every subcommand accepts the same canonical flags where they apply:
 # ``--jobs N``, ``--cache-dir DIR`` / ``--no-disk-cache``, ``--smoke``
-# and ``--json PATH``.  The historical spellings ``--workers``,
-# ``--cache`` and ``--json-out`` still parse, hidden from ``--help``.
-
-def _hidden_alias(parser, flag, canonical, **kwargs):
-    parser.add_argument(flag, dest=canonical, default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS, **kwargs)
-
+# and ``--json PATH``.
 
 def _add_jobs_flag(parser, help_text="worker processes (default: all "
                                      "cores; 1 forces the serial path)"):
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help=help_text)
-    _hidden_alias(parser, "--workers", "jobs", type=int, metavar="N")
 
 
 def _add_cache_flags(parser):
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="result cache location (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/typedarch)")
-    _hidden_alias(parser, "--cache", "cache_dir", metavar="DIR")
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="skip the persistent result cache")
 
@@ -194,7 +184,6 @@ def _add_smoke_flag(parser, help_text):
 def _add_json_flag(parser, help_text):
     parser.add_argument("--json", metavar="PATH", default=None,
                         help=help_text)
-    _hidden_alias(parser, "--json-out", "json", metavar="PATH")
 
 
 def _add_slo_flags(parser):

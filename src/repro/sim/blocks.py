@@ -19,10 +19,10 @@ guarded on the redirect), and ends at ``jal``/``jalr``/``ecall``/
 
 Each block is compiled to one generated Python function that
 
-* calls the same semantic handlers as ``Cpu.step`` but with the
-  per-step side-channel resets hoisted to the few instructions that
-  read them (branches reset ``branch_taken``, typed ops reset
-  ``redirect``, ``tld``/``tsd`` reset ``mem_addr2``),
+* inlines the semantics of the hot instructions (integer ALU, loads
+  and stores, branches and jumps, tagged loads/stores and tagged ALU
+  ops) together with the front-end, cache and TRT models they drive,
+  and calls the same semantic handlers as ``Cpu.step`` for the rest,
 * probes the I-cache once per fetched line instead of once per
   instruction (re-fetches of the MRU line are guaranteed hits, so the
   miss count, LRU state and DRAM interleaving are exactly preserved;
@@ -42,9 +42,9 @@ differential suite in ``tests/test_blocks.py`` enforces this across
 every benchmark cell.
 
 The per-instruction code generator itself lives in :class:`_Emitter`,
-shared with the superblock *trace* engine (:mod:`repro.sim.traces`)
-which chains hot blocks across taken branches into longer compilation
-units with guarded side exits.
+shared with the superblock *trace* engine (:mod:`repro.sim.traces`),
+which emits the same code but chains hot blocks across taken branches
+into longer compilation units with guarded side exits.
 
 Compiled tables are cached per ``(program, machine-config)`` — the
 assembled interpreters are themselves cached per engine configuration,
@@ -268,8 +268,8 @@ class _Emitter:
     ``("taken", target_pc)``
         Conditional branch assumed taken: the guard is the branch
         condition itself; the fall-through direction side-exits with
-        the same front-end training call and cycle charge the
-        reference loop pays on that path.
+        the same front-end training and cycle charge the reference
+        loop pays on that path.
     ``("jal", target_pc)``
         Direct jump: unconditional chain, no guard needed.
     ``("jalr", assumed_pc)``
@@ -277,41 +277,50 @@ class _Emitter:
         usual, then guarded against the assumed trace successor.
 
     The generated code mirrors the per-instruction timing loop of
-    :meth:`Machine._run_interpreted` statement for statement; every
-    stateful call (front-end training, D-cache probes, DRAM row-buffer
-    accesses) is emitted in the original per-instruction order so the
-    counters stay bit-identical between all engines.
-
-    With ``fast=True`` (the trace engine) the emitter additionally
+    :meth:`Machine._run_interpreted` statement for statement, and
     *inlines* the stateful helpers themselves — gshare/BTB/RAS
-    training, the cache MRU probe and the functional memory access —
-    instead of calling them.  The inlined code manipulates the very
-    same model state (counter lists, LRU order lists, the tag sets,
-    the backing bytearray), with slow paths falling back to the real
-    methods, so the model state and every counter remain bit-identical
-    at any deopt boundary even though traces and plain blocks
-    interleave freely on the same machine.  Block compilation keeps
-    ``fast=False`` so the block engine's generated code — the baseline
-    the trace speedup is measured against — is unchanged from PR 3.
+    training, the I- and D-cache MRU probes, the functional memory
+    access and the TRT probe — instead of calling them.  The inlined
+    code manipulates the very same model state (counter lists, LRU
+    order lists, the tag sets, the backing bytearray, the TRT rule
+    dict), with slow paths falling back to the real methods, so the
+    model state and every counter remain bit-identical at any deopt
+    boundary even though traces, blocks and single-instruction units
+    interleave freely on the same machine.  The inlined TRT probe and
+    type-mispredict path skip the telemetry hooks, which is why
+    :meth:`Machine.run` selects these engines only while telemetry is
+    off and ``trt.lookup`` is not rebound.
     """
 
-    def __init__(self, table, fast=False):
+    def __init__(self, table):
         self.table = table
         self.instrs = table.instructions
         self.kinds = table.kinds
         self.base = table.base
-        self.lat = table.config.latency
-        self.redirect_penalty = table.config.branch.miss_penalty
+        config = table.config
+        self.lat = config.latency
+        self.redirect_penalty = config.branch.miss_penalty
         self.lus = self.lat.load_use_stall
         self.line_shift = table.line_shift
+        self.gshare_mask = config.branch.gshare_entries - 1
+        self.history_mask = \
+            (1 << (config.branch.gshare_entries.bit_length() - 1)) - 1
+        self.btb_entries = config.branch.btb_entries
+        self.ras_entries = config.branch.ras_entries
+        self.d_shift = config.dcache.line_bytes.bit_length() - 1
+        self.d_mask = config.dcache.sets - 1
+        self.i_mask = config.icache.sets - 1
         self.sig = ["cpu", "prev", "ic", "dc", "dr", "fe", "ct", "icc"]
         self.body = []
         self.uses = set()    # which preamble bindings the code needs
         self._bound = set()  # instruction indices already bound in sig
-        # Statically accumulated state, snapshotted at every exit point.
-        self.pend = 0       # cycles known at compile time
-        self.probed = 0     # I-cache probes emitted so far
-        self.stalls = 0     # load-use stalls known at compile time
+        # Statically accumulated state, snapshotted at every exit point:
+        # cycles, load-use stalls, conditional branches + indirect jumps
+        # executed so far, and inlined D-cache probes to bulk-credit.
+        self.pend = 0
+        self.stalls = 0
+        self.fe_branches = 0
+        self.dprobes = 0
         self.prev_out = -1  # load destination carried one instruction
         # ``cpu.pc`` is materialised lazily: inlined instructions skip
         # the per-instruction update, so it must be restored from the
@@ -323,44 +332,25 @@ class _Emitter:
         # across chained branches and jumps.
         self.prev_pc = None
         self.k = 0          # instructions emitted so far
-        self.fast = fast
-        if fast:
-            branch = table.config.branch
-            self.gshare_mask = branch.gshare_entries - 1
-            self.history_mask = \
-                (1 << (branch.gshare_entries.bit_length() - 1)) - 1
-            self.btb_entries = branch.btb_entries
-            self.ras_entries = branch.ras_entries
-            dcache = table.config.dcache
-            self.d_shift = dcache.line_bytes.bit_length() - 1
-            self.d_mask = dcache.sets - 1
-            self.i_mask = table.config.icache.sets - 1
-            # Statically known per exit point, like ``instret``:
-            # conditional branches + indirect jumps executed so far,
-            # and inlined D-cache probes to bulk-credit.
-            self.fe_branches = 0
-            self.dprobes = 0
-            # Global history lives in a local (``gh``) inside the
-            # generated function and is flushed back at every exit.
-            self.uses.add("gsh")
 
     def emit_exit(self, executed, prev_value, indent, exit_pc=None):
         body = self.body
         if exit_pc is not None:
             body.append("%scpu.pc = %d" % (indent, exit_pc))
         body.append("%scpu.instret += %d" % (indent, executed))
-        extra = executed - self.probed
-        if extra:
-            body.append("%sicc.accesses += %d" % (indent, extra))
+        # Every fetch is credited in bulk; the inlined I-cache probes'
+        # slow paths pre-decrement for the count ``ic`` adds itself.
+        body.append("%sicc.accesses += %d" % (indent, executed))
         if self.stalls:
             body.append("%sct.load_use_stalls += %d"
                         % (indent, self.stalls))
-        if self.fast:
-            if self.fe_branches:
-                body.append("%sfe.branches += %d"
-                            % (indent, self.fe_branches))
-            if self.dprobes:
-                body.append("%sdcc.accesses += %d" % (indent, self.dprobes))
+        if self.fe_branches:
+            body.append("%sfe.branches += %d" % (indent, self.fe_branches))
+        if self.dprobes:
+            body.append("%sdcc.accesses += %d" % (indent, self.dprobes))
+        if "gsh" in self.uses:
+            # Global history lives in a local (``gh``) once a branch has
+            # been inlined, and is flushed back at every later exit.
             body.append("%sg_.history = gh" % indent)
         body.append("%sreturn c + %d, %d"
                     % (indent, self.pend, prev_value))
@@ -374,7 +364,7 @@ class _Emitter:
             self.sig.append("i%d=_i[%d]" % (index, index))
         return "h%d(cpu, i%d)" % (index, index)
 
-    # -- fast-mode (trace) inline expansions ----------------------------
+    # -- inline expansions of the stateful helpers ----------------------
 
     def _cond_fused(self, pc, taken, target, A):
         """Inline ``fe.conditional_branch(pc, taken, ...)`` with the
@@ -387,6 +377,7 @@ class _Emitter:
         lookup's LRU touch and the update's re-insertion compose to a
         single move-to-MRU, which is what is emitted.)
         """
+        self.uses.add("gsh")
         body = self.body
         body.append(A + "gi = (%d ^ gh) & %d"
                     % (pc >> 2, self.gshare_mask))
@@ -457,7 +448,7 @@ class _Emitter:
 
     def _redirect_exit(self, k, A):
         """Inline ``Cpu._type_mispredict`` plus the redirect penalty and
-        the trace exit (telemetry is off on this engine by selection)."""
+        the unit exit (telemetry is off on these engines by selection)."""
         body = self.body
         body.append(A + "cpu.pc = cpu.r_hdl")
         body.append(A + "cpu.redirect = True")
@@ -496,19 +487,15 @@ class _Emitter:
         # the line are guaranteed MRU hits, credited at the exits.
         if self.prev_pc is None or \
                 (pc >> self.line_shift) != (self.prev_pc >> self.line_shift):
-            if self.fast:
-                # The set index and tag are compile-time constants, so
-                # even the MRU hit check is inlined; the slow path
-                # compensates the bulk access credit.
-                self.uses.add("icf")
-                line = pc >> self.line_shift
-                body.append("    e_ = iss[%d]" % (line & self.i_mask))
-                body.append("    if not (e_ and e_[-1] == %d):" % line)
-                body.append("        icc.accesses -= 1")
-                body.append("        if not ic(%d): c += dr(%d)" % (pc, pc))
-            else:
-                body.append("    if not ic(%d): c += dr(%d)" % (pc, pc))
-                self.probed += 1
+            # The set index and tag are compile-time constants, so even
+            # the MRU hit check is inlined; the slow path compensates
+            # the bulk access credit.
+            self.uses.add("icf")
+            line = pc >> self.line_shift
+            body.append("    e_ = iss[%d]" % (line & self.i_mask))
+            body.append("    if not (e_ and e_[-1] == %d):" % line)
+            body.append("        icc.accesses -= 1")
+            body.append("        if not ic(%d): c += dr(%d)" % (pc, pc))
 
         prev_next = -1
         alu = None
@@ -519,34 +506,18 @@ class _Emitter:
             uses.add("regs")
             target = (pc + i.imm) & _M
             cond = _BRANCH_COND[mn] % {"a": i.rs1, "b": i.rs2, "S": _S}
-            if self.fast:
-                self.fe_branches += 1
-                if chain is not None and chain[0] == "taken":
-                    body.append("    if not (%s):" % cond)
-                    self._cond_fused(pc, False, None, "        ")
-                    self.emit_exit(k + 1, -1, "        ", exit_pc=pc + 4)
-                    self._cond_fused(pc, True, target, "    ")
-                else:
-                    body.append("    if %s:" % cond)
-                    self._cond_fused(pc, True, target, "        ")
-                    body.append("        cpu.pc = %d" % target)
-                    self.emit_exit(k + 1, -1, "        ")
-                    self._cond_fused(pc, False, None, "    ")
-            elif chain is not None and chain[0] == "taken":
+            self.fe_branches += 1
+            if chain is not None and chain[0] == "taken":
                 body.append("    if not (%s):" % cond)
-                body.append("        c += fe.conditional_branch("
-                            "%d, False, %d)" % (pc, pc + 4))
+                self._cond_fused(pc, False, None, "        ")
                 self.emit_exit(k + 1, -1, "        ", exit_pc=pc + 4)
-                body.append("    c += fe.conditional_branch(%d, True, %d)"
-                            % (pc, target))
+                self._cond_fused(pc, True, target, "    ")
             else:
                 body.append("    if %s:" % cond)
-                body.append("        c += fe.conditional_branch("
-                            "%d, True, %d)" % (pc, target))
+                self._cond_fused(pc, True, target, "        ")
                 body.append("        cpu.pc = %d" % target)
                 self.emit_exit(k + 1, -1, "        ")
-                body.append("    c += fe.conditional_branch(%d, False, %d)"
-                            % (pc, pc + 4))
+                self._cond_fused(pc, False, None, "    ")
             self.pc_stale = True
         elif mn == "jal":
             if i.rd:
@@ -555,28 +526,18 @@ class _Emitter:
                 body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
                 body.append("    F[%d] = 0" % i.rd)
             target = (pc + i.imm) & _M
-            if self.fast:
-                # fe.direct_jump inline: RAS push for calls, fused BTB
-                # lookup+update, a one-cycle charge on a BTB miss.
-                if i.rd == 1:
-                    self._ras_push(pc + 4, "    ")
-                self._btb_fused(pc, "%d" % target, "    ")
-                body.append("    if p_ != %d:" % target)
-                body.append("        fe.btb_misses += 1")
-                body.append("        c += 1")
-                if chain is not None:
-                    self.pc_stale = True
-                else:
-                    body.append("    cpu.pc = %d" % target)
-                    self.emit_exit(k + 1, -1, "    ")
-            elif chain is not None:
-                body.append("    c += fe.direct_jump(%d, %d, %s, %d)"
-                            % (pc, target, i.rd == 1, pc + 4))
+            # fe.direct_jump inline: RAS push for calls, fused BTB
+            # lookup+update, a one-cycle charge on a BTB miss.
+            if i.rd == 1:
+                self._ras_push(pc + 4, "    ")
+            self._btb_fused(pc, "%d" % target, "    ")
+            body.append("    if p_ != %d:" % target)
+            body.append("        fe.btb_misses += 1")
+            body.append("        c += 1")
+            if chain is not None:
                 self.pc_stale = True
             else:
                 body.append("    cpu.pc = %d" % target)
-                body.append("    c += fe.direct_jump(%d, %d, %s, %d)"
-                            % (pc, target, i.rd == 1, pc + 4))
                 self.emit_exit(k + 1, -1, "    ")
         elif mn == "jalr":
             uses.add("regs")
@@ -587,77 +548,51 @@ class _Emitter:
                 body.append("    V[%d] = %d" % (i.rd, pc + 4))
                 body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
                 body.append("    F[%d] = 0" % i.rd)
-            if self.fast:
-                # fe.indirect_jump inline: RAS prediction for returns,
-                # else fused BTB lookup+update (and a RAS push for
-                # calls), then the mispredict check against the actual
-                # target.
-                self.fe_branches += 1
-                if i.rd == 0 and i.rs1 == 1:
-                    self.uses.add("ras")
-                    body.append("    p_ = rs_.pop() if rs_ else None")
-                else:
-                    self._btb_fused(pc, "t", "    ")
-                    if i.rd == 1:
-                        self._ras_push(pc + 4, "    ")
-                body.append("    if p_ != t:")
-                body.append("        fe.mispredicts += 1")
-                body.append("        c += %d" % self.redirect_penalty)
-                if chain is not None:
-                    body.append("    if t != %d:" % chain[1])
-                    body.append("        cpu.pc = t")
-                    self.emit_exit(k + 1, -1, "        ")
-                    self.pc_stale = True
-                else:
-                    body.append("    cpu.pc = t")
-                    self.emit_exit(k + 1, -1, "    ")
-            elif chain is not None:
-                # The front end trains on the *actual* target exactly as
-                # the reference loop would; the guard only decides where
-                # execution continues.
-                body.append("    c += fe.indirect_jump(%d, t, %s, %s, %d)"
-                            % (pc, i.rd == 0 and i.rs1 == 1, i.rd == 1,
-                               pc + 4))
+            # fe.indirect_jump inline: RAS prediction for returns, else
+            # fused BTB lookup+update (and a RAS push for calls), then
+            # the mispredict check against the actual target.  The
+            # front end trains on the *actual* target exactly as the
+            # reference loop would; a chain guard only decides where
+            # execution continues.
+            self.fe_branches += 1
+            if i.rd == 0 and i.rs1 == 1:
+                self.uses.add("ras")
+                body.append("    p_ = rs_.pop() if rs_ else None")
+            else:
+                self._btb_fused(pc, "t", "    ")
+                if i.rd == 1:
+                    self._ras_push(pc + 4, "    ")
+            body.append("    if p_ != t:")
+            body.append("        fe.mispredicts += 1")
+            body.append("        c += %d" % self.redirect_penalty)
+            if chain is not None:
                 body.append("    if t != %d:" % chain[1])
                 body.append("        cpu.pc = t")
                 self.emit_exit(k + 1, -1, "        ")
                 self.pc_stale = True
             else:
                 body.append("    cpu.pc = t")
-                body.append("    c += fe.indirect_jump(%d, t, %s, %s, %d)"
-                            % (pc, i.rd == 0 and i.rs1 == 1, i.rd == 1,
-                               pc + 4))
                 self.emit_exit(k + 1, -1, "    ")
         elif mn in _LOAD_ARGS:
             uses.add("regs")
             uses.add("mem")
             width, signed = _LOAD_ARGS[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            if self.fast:
-                # In-bounds accesses read the backing bytearray
-                # directly; the bounds check routes out-of-range
-                # addresses to Memory.load for the exact MemoryError.
-                uses.add("memf")
-                body.append("    if a + %d > msz:" % width)
-                if signed:
-                    body.append("        x = ML(a, %d, True) & %d"
-                                % (width, _M))
-                    body.append("    else:")
-                    body.append("        x = FB(D[a:a+%d], 'little', "
-                                "signed=True) & %d" % (width, _M))
-                else:
-                    body.append("        x = ML(a, %d)" % width)
-                    body.append("    else:")
-                    body.append("        x = FB(D[a:a+%d], 'little')"
-                                % width)
-                self._dc_fused("a", "    ")
+            # In-bounds accesses read the backing bytearray directly;
+            # the bounds check routes out-of-range addresses to
+            # Memory.load for the exact MemoryError.
+            uses.add("memf")
+            body.append("    if a + %d > msz:" % width)
+            if signed:
+                body.append("        x = ML(a, %d, True) & %d" % (width, _M))
+                body.append("    else:")
+                body.append("        x = FB(D[a:a+%d], 'little', "
+                            "signed=True) & %d" % (width, _M))
             else:
-                if signed:
-                    body.append("    x = ML(a, %d, True) & %d"
-                                % (width, _M))
-                else:
-                    body.append("    x = ML(a, %d)" % width)
-                body.append("    if not dc(a): c += dr(a)")
+                body.append("        x = ML(a, %d)" % width)
+                body.append("    else:")
+                body.append("        x = FB(D[a:a+%d], 'little')" % width)
+            self._dc_fused("a", "    ")
             if i.rd:
                 body.append("    V[%d] = x" % i.rd)
                 body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
@@ -669,24 +604,19 @@ class _Emitter:
             uses.add("mem")
             width = _STORE_WIDTH[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            if self.fast:
-                uses.add("memf")
-                body.append("    if a + %d > msz:" % width)
-                body.append("        MS(a, %d, V[%d])" % (width, i.rs2))
-                body.append("    else:")
-                if width == 1:
-                    body.append("        D[a] = V[%d] & 255" % i.rs2)
-                else:
-                    body.append("        D[a:a+%d] = (V[%d] & %d)"
-                                ".to_bytes(%d, 'little')"
-                                % (width, i.rs2,
-                                   (1 << (8 * width)) - 1, width))
-                self._dc_fused("a", "    ")
+            uses.add("memf")
+            body.append("    if a + %d > msz:" % width)
+            body.append("        MS(a, %d, V[%d])" % (width, i.rs2))
+            body.append("    else:")
+            if width == 1:
+                body.append("        D[a] = V[%d] & 255" % i.rs2)
             else:
-                body.append("    MS(a, %d, V[%d])" % (width, i.rs2))
-                body.append("    if not dc(a): c += dr(a)")
+                body.append("        D[a:a+%d] = (V[%d] & %d)"
+                            ".to_bytes(%d, 'little')"
+                            % (width, i.rs2, (1 << (8 * width)) - 1, width))
+            self._dc_fused("a", "    ")
             self.pc_stale = True
-        elif self.fast and mn == "fld":
+        elif mn == "fld":
             # FP load: same shape as the integer loads, landing in the
             # FP bit file (no type/F-bit bookkeeping on FP registers).
             uses.add("regs")
@@ -702,7 +632,7 @@ class _Emitter:
             body.append("    FV[%d] = x" % i.rd)
             prev_next = i.rd or -1
             self.pc_stale = True
-        elif self.fast and mn == "fsd":
+        elif mn == "fsd":
             uses.add("regs")
             uses.add("mem")
             uses.add("memf")
@@ -715,7 +645,7 @@ class _Emitter:
                         % i.rs2)
             self._dc_fused("a", "    ")
             self.pc_stale = True
-        elif self.fast and mn == "tld":
+        elif mn == "tld":
             # Tagged load, fully inlined: mirrors _op_tld +
             # TagCodec.extract statement for statement, reading the
             # codec special registers (mutable via setoffset/setshift/
@@ -771,7 +701,7 @@ class _Emitter:
             body.append("        if not dc(m2): c += dr(m2)")
             prev_next = i.rd or -1
             self.pc_stale = True
-        elif self.fast and mn == "tsd":
+        elif mn == "tsd":
             # Tagged store, fully inlined: mirrors _op_tsd +
             # TagCodec.insert, preserving the functional memory-op
             # order (old-tag load, value store, tag store).
@@ -819,13 +749,13 @@ class _Emitter:
             body.append("    if m2 is not None:")
             body.append("        if not dc(m2): c += dr(m2)")
             self.pc_stale = True
-        elif self.fast and kind == K_TAGGED_ALU:
+        elif kind == K_TAGGED_ALU:
             # _tagged_alu inlined: TRT dict probe (hit/miss accounting
             # kept on the table object, whose dict identity survives
             # set_trt/flush_trt), the float path on the fbit, the int
             # path with the optional overflow trap, and write_typed.
             # Both mispredict paths replicate Cpu._type_mispredict and
-            # exit the trace; the engine-selection guard guarantees
+            # exit the unit; the engine-selection guard guarantees
             # telemetry is off and ``trt.lookup`` is not rebound.
             uses.add("regs")
             uses.add("trt")
@@ -895,53 +825,23 @@ class _Emitter:
                 self.pend += lat.mul
             self.pc_stale = True
         else:
+            if kind in (K_BRANCH, K_JAL, K_JALR, K_STORE, K_TAGGED_ALU):
+                # Every control-transfer, store and tagged-ALU mnemonic
+                # is inlined above, and the handler call below does no
+                # front-end, store or TRT accounting.  A new one must be
+                # inlined too; until then its units degrade to the
+                # exact per-instruction fallback.
+                raise NotImplementedError("no inline code for %s" % mn)
             # Handler-called fallback: the handler reads/writes cpu.pc,
             # so materialise it first if inlined code left it stale.
             if self.pc_stale:
                 body.append("    cpu.pc = %d" % pc)
                 self.pc_stale = False
             call = self._call(index)
-            if kind in (K_BRANCH, K_JAL, K_JALR) and self.fast:
-                # Unreachable in practice (all branch/jump mnemonics
-                # are inlined above), but if a new mnemonic ever lands
-                # here the front-end method must see — and the inline
-                # sites must then re-read — the live global history.
-                body.append("    g_.history = gh")
-            if kind == K_BRANCH:
-                body.append("    cpu.branch_taken = False")
+            if kind == K_LOAD:
                 body.append("    " + call)
-                body.append("    c += fe.conditional_branch(%d, "
-                            "cpu.branch_taken, cpu.pc)" % pc)
-                if self.fast:
-                    body.append("    gh = g_.history")
-                body.append("    if cpu.branch_taken:")
-                self.emit_exit(k + 1, -1, "        ")
-            elif kind == K_JAL:
-                body.append("    " + call)
-                body.append("    c += fe.direct_jump(%d, cpu.pc, %s, %d)"
-                            % (pc, i.rd == 1, pc + 4))
-                self.emit_exit(k + 1, -1, "    ")
-            elif kind == K_JALR:
-                body.append("    " + call)
-                body.append("    c += fe.indirect_jump(%d, cpu.pc, "
-                            "%s, %s, %d)"
-                            % (pc, i.rd == 0 and i.rs1 == 1, i.rd == 1,
-                               pc + 4))
-                self.emit_exit(k + 1, -1, "    ")
-            elif kind == K_LOAD:
-                if mn == "tld":
-                    body.append("    cpu.mem_addr2 = None")
-                body.append("    " + call)
-                if self.fast:
-                    body.append("    a = cpu.mem_addr")
-                    self._dc_fused("a", "    ")
-                else:
-                    body.append("    if not dc(cpu.mem_addr): "
-                                "c += dr(cpu.mem_addr)")
-                if mn == "tld":
-                    body.append("    m = cpu.mem_addr2")
-                    body.append("    if m is not None and not dc(m): "
-                                "c += dr(m)")
+                body.append("    a = cpu.mem_addr")
+                self._dc_fused("a", "    ")
                 prev_next = i.rd or -1
                 if mn == "chklw":
                     # Checked load classified as a plain load by the
@@ -950,41 +850,12 @@ class _Emitter:
                     # fall-through.
                     body.append("    if cpu.pc != %d:" % (pc + 4))
                     self.emit_exit(k + 1, prev_next, "        ")
-            elif kind == K_STORE:
-                if mn == "tsd":
-                    body.append("    cpu.mem_addr2 = None")
-                body.append("    " + call)
-                if self.fast:
-                    body.append("    a = cpu.mem_addr")
-                    self._dc_fused("a", "    ")
-                else:
-                    body.append("    if not dc(cpu.mem_addr): "
-                                "c += dr(cpu.mem_addr)")
-                if mn == "tsd":
-                    body.append("    m = cpu.mem_addr2")
-                    body.append("    if m is not None and not dc(m): "
-                                "c += dr(m)")
-            elif kind == K_TAGGED_ALU:
-                body.append("    cpu.redirect = False")
-                body.append("    " + call)
-                body.append("    if cpu.redirect:")
-                body.append("        c += %d" % self.redirect_penalty)
-                self.emit_exit(k + 1, -1, "        ")
-                if mn == "xmul":
-                    self.pend += lat.mul  # charged on the fast path
-                elif i.rd:
-                    body.append("    if cpu.regs.fbit[%d]: c += %d"
-                                % (i.rd, lat.fp_alu))
             elif kind == K_CHECK:
                 body.append("    cpu.redirect = False")
                 body.append("    " + call)
                 if mn != "tchk":
-                    if self.fast:
-                        body.append("    a = cpu.mem_addr")
-                        self._dc_fused("a", "    ")
-                    else:
-                        body.append("    if not dc(cpu.mem_addr): "
-                                    "c += dr(cpu.mem_addr)")
+                    body.append("    a = cpu.mem_addr")
+                    self._dc_fused("a", "    ")
                 body.append("    if cpu.redirect:")
                 body.append("        c += %d" % self.redirect_penalty)
                 self.emit_exit(k + 1, -1, "        ")
@@ -1056,8 +927,8 @@ class _Emitter:
                      "TD_": TAG_DWORD_DISPLACEMENT,
                      "UP": _PACK_U64.pack, "UQ": _PACK_U64.unpack,
                      "PF": _PACK_F64.pack, "FU": _PACK_F64.unpack}
-        from repro.sim import backend
-        return backend.load_unit("\n".join(lines), filename, namespace)
+        exec(compile("\n".join(lines), filename, "exec"), namespace)
+        return namespace["_block"]
 
 
 def _compile_block(table, start, max_len):

@@ -355,12 +355,11 @@ def _first_guard_span(blocks, segments):
 def _compile_trace(blocks, segments):
     """Generate, ``exec`` and return ``(fn, count)`` for a trace.
 
-    Traces are compiled with the emitter's ``fast`` mode: the
-    front-end, cache and memory helpers are inlined on their hot paths
-    (see :class:`repro.sim.blocks._Emitter`), while plain blocks keep
-    the PR 3 code shape.
+    The code is emitted exactly as for plain blocks (see
+    :class:`repro.sim.blocks._Emitter`); only the chained control
+    transfers between segments become guards instead of exits.
     """
-    emitter = _Emitter(blocks, fast=True)
+    emitter = _Emitter(blocks)
     for start, stop, chain in segments:
         if chain is None or chain[0] == "fall":
             for index in range(start, stop):

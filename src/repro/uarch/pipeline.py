@@ -148,18 +148,17 @@ class Machine:
         (:mod:`repro.sim.blocks`) with ``use_traces=False``, and the
         per-instruction reference loop whenever something needs
         per-instruction visibility — attribution, telemetry (machine-
-        or cpu-level), tracers that rebind ``cpu.step`` — or with
-        ``use_blocks=False``.  All engines produce bit-identical
-        counters and cycles.
+        or cpu-level, including a ``trt.lookup`` rebound on the
+        instance, which the compiled units inline), tracers that
+        rebind ``cpu.step`` — or with ``use_blocks=False``.  All
+        engines produce bit-identical counters and cycles.
         """
         if (self.use_blocks and self.attribution is None
                 and self.telemetry is None
                 and self.cpu.telemetry is None
-                and "step" not in self.cpu.__dict__):
-            # Traces additionally inline the TRT hit path, so an
-            # instance-rebound ``trt.lookup`` (telemetry wrapper) must
-            # fall back to the handler-calling block engine.
-            if self.use_traces and "lookup" not in self.cpu.trt.__dict__:
+                and "step" not in self.cpu.__dict__
+                and "lookup" not in self.cpu.trt.__dict__):
+            if self.use_traces:
                 return self._run_traces(max_instructions)
             return self._run_blocks(max_instructions)
         return self._run_interpreted(max_instructions)

@@ -19,6 +19,7 @@ from repro.sim.blocks import MAX_BLOCK_LEN, block_table
 from repro.sim.cpu import Cpu
 from repro.sim.errors import ExecutionLimitExceeded
 from repro.sim.memory import Memory
+from repro.telemetry import Telemetry, attach_cpu
 from repro.uarch.pipeline import DEFAULT_CONFIG, Machine
 
 
@@ -115,6 +116,38 @@ def test_cpu_step_shadow_forces_interpreter(monkeypatch):
     machine.run(max_instructions=1_000)
 
 
+def test_rebound_trt_lookup_forces_interpreter(monkeypatch):
+    """Blocks inline the TRT probe, so an instance-rebound
+    ``trt.lookup`` (telemetry) selects the reference loop even with
+    traces off."""
+    cpu, machine = _machine(_LOOP, use_traces=False)
+    cpu.trt.lookup = cpu.trt.lookup  # instance shadow, telemetry-style
+    monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    machine.run(max_instructions=1_000)
+
+
+def test_trt_only_telemetry_matches_plain_run():
+    """``trt``-only telemetry rebinds ``trt.lookup`` but leaves
+    ``cpu.telemetry`` unset and attaches nothing to the machine: the
+    run must still see every TRT hit per key, with the counters of a
+    plain (trace-engine) run."""
+    source = ("local s = 0\n"
+              "for i = 1, 200 do s = s + i * 2 end\n"
+              "print(s)\n")
+    runs = []
+    for telemetry in (None, Telemetry(categories={"trt"})):
+        cpu, runtime, _program = lua_vm.prepare(source, config="typed")
+        attach_cpu(telemetry, cpu)
+        counters = Machine(cpu).run(max_instructions=20_000_000)
+        runs.append((cpu, counters, "".join(runtime.output)))
+    (_, plain, plain_output), (cpu, counters, output) = runs
+    assert cpu.telemetry is None
+    assert output == plain_output
+    assert counters.as_dict() == plain.as_dict()
+    assert cpu.trt.hits > 0
+    assert sum(cpu.trt.hit_keys.values()) == cpu.trt.hits
+
+
 def _boom(*_args, **_kwargs):
     raise AssertionError("wrong engine selected")
 
@@ -174,9 +207,10 @@ def test_thdl_deopt_differential():
 
 
 # -- differential: the full benchmark matrix -------------------------------------
-# Reduced input scales keep the 66-cell sweep tractable in tier-1; the
-# full-scale version is tools/perfbench.py (which asserts the same
-# counter identity on every cell it measures).
+# Every guest engine x benchmark x registered config.  Reduced input
+# scales keep the sweep tractable in tier-1; the full-scale version is
+# tools/perfbench.py (which asserts the same counter identity on every
+# cell it measures).
 
 _SCALES = {
     "ackermann": 2,
@@ -202,16 +236,19 @@ _CELLS = [(engine, benchmark, config)
 @pytest.mark.parametrize(("engine", "workload", "config"), _CELLS,
                          ids=["%s-%s-%s" % cell for cell in _CELLS])
 def test_differential_benchmark_matrix(engine, workload, config):
-    legacy = run_benchmark(engine, workload, config,
-                           scale=_SCALES[workload],
-                           use_cache=False, attribute=False,
-                           use_blocks=False)
-    blocks = run_benchmark(engine, workload, config,
-                           scale=_SCALES[workload],
-                           use_cache=False, attribute=False,
-                           use_blocks=True)
-    assert blocks.output == legacy.output
-    assert blocks.counters.as_dict() == legacy.counters.as_dict()
+    """The reference loop, the block engine and the trace engine agree
+    on output and every counter."""
+    def run(**mode):
+        return run_benchmark(engine, workload, config,
+                             scale=_SCALES[workload],
+                             use_cache=False, attribute=False, **mode)
+
+    reference = run(use_blocks=False)
+    for mode in ({"use_traces": False}, {"use_traces": True}):
+        record = run(**mode)
+        assert record.output == reference.output, mode
+        assert record.counters.as_dict() == reference.counters.as_dict(), \
+            mode
 
 
 def test_blocks_do_not_perturb_attribution_runs():

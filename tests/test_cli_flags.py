@@ -1,5 +1,6 @@
 """Uniform CLI flag spellings: --jobs/--cache-dir/--smoke/--json on
-every subcommand, with the historical aliases hidden but accepted."""
+every subcommand; the removed historical aliases --workers and
+--json-out are usage errors."""
 
 import json
 
@@ -15,10 +16,16 @@ def parser():
     return build_parser()
 
 
+#: Historical spellings removed after their deprecation window; rows
+#: that use one must now fail to parse.
+_REMOVED_ALIASES = ("--workers", "--json-out")
+
+
 @pytest.mark.parametrize("argv,attr,value", [
     (["sweep", "--jobs", "3"], "jobs", 3),
-    (["sweep", "--workers", "3"], "jobs", 3),           # hidden alias
+    (["sweep", "--workers", "3"], "jobs", 3),           # removed alias
     (["sweep", "--cache-dir", "/tmp/c"], "cache_dir", "/tmp/c"),
+    # argparse accepts an unambiguous prefix of --cache-dir.
     (["sweep", "--cache", "/tmp/c"], "cache_dir", "/tmp/c"),
     (["sweep", "--json", "/tmp/o.json"], "json", "/tmp/o.json"),
     (["sweep", "--json-out", "/tmp/o.json"], "json", "/tmp/o.json"),
@@ -35,7 +42,13 @@ def parser():
     (["trace", "fibo", "--json", "/tmp/t.json"], "json", "/tmp/t.json"),
     (["tables", "--json", "/tmp/t.json"], "json", "/tmp/t.json"),
 ])
-def test_canonical_and_alias_spellings(parser, argv, attr, value):
+def test_canonical_and_alias_spellings(parser, argv, attr, value, capsys):
+    if any(flag in argv for flag in _REMOVED_ALIASES):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
     args = parser.parse_args(argv)
     assert getattr(args, attr) == value
 

@@ -247,13 +247,14 @@ def test_execution_limit_lands_inside_trace_span():
 
 # -- engine selection ------------------------------------------------------------
 
-def test_telemetry_rebound_trt_falls_back_to_blocks(monkeypatch):
-    """Traces inline the uninstrumented TRT probe, so a CPU whose
-    ``trt.lookup`` was rebound on the instance (telemetry) must select
-    the handler-calling block engine instead."""
+def test_telemetry_rebound_trt_falls_back_to_reference(monkeypatch):
+    """Traces and blocks both inline the uninstrumented TRT probe, so a
+    CPU whose ``trt.lookup`` was rebound on the instance (telemetry)
+    must select the reference loop."""
     cpu, machine = _machine(_HOT_LOOP)
     cpu.trt.lookup = cpu.trt.lookup  # instance shadow, telemetry-style
     monkeypatch.setattr(Machine, "_run_traces", _boom)
+    monkeypatch.setattr(Machine, "_run_blocks", _boom)
     machine.run(max_instructions=100_000)
 
 
