@@ -25,9 +25,9 @@ def sweep(engines=ENGINES, benchmarks=None, configs=None, scales=None,
     — resolves disk-cache hits first, shards the misses over ``jobs``
     workers (default: all cores), and returns the canonical
     ``{(engine, benchmark, config): record}`` dict.  Misses are
-    scheduled grouped by ``(engine, config)`` (see
-    :mod:`repro.bench.batch`), so cells sharing an assembled
-    interpreter and its predecoded block/trace tables run back to back.
+    scheduled grouped by ``(engine, config)``, so cells sharing an
+    assembled interpreter and its predecoded block/trace tables run
+    back to back.
     With the disk cache configured (see :mod:`repro.bench.cache`),
     concurrent pytest processes and repeat invocations share one sweep.
     """

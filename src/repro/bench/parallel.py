@@ -325,11 +325,11 @@ def run_matrix_parallel(engines=ENGINES, benchmarks=BENCHMARK_ORDER,
         else:
             pending.append(cell)
 
-    # Batch-friendly scheduling (see repro.bench.batch): dispatch misses
-    # grouped by (engine, config) so consecutive cells landing on one
-    # worker share the assembled interpreter, predecoded program and
-    # block/trace tables instead of interleaving six cold pairs.  The
-    # returned dict is re-ordered canonically below either way.
+    # Dispatch misses grouped by (engine, config) so consecutive cells
+    # landing on one worker share the assembled interpreter, predecoded
+    # program and block/trace tables instead of interleaving cold
+    # pairs.  The returned dict is re-ordered canonically below either
+    # way.
     group_order = {}
     for cell in pending:
         group_order.setdefault((cell[0], cell[2]), len(group_order))

@@ -127,17 +127,6 @@ def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
     return record
 
 
-def run_matrix_batched(cells=None, **kwargs):
-    """Shared-predecode batch execution of sweep cells (uncached,
-    attribution-free — the host-perf path); delegates to
-    :func:`repro.bench.batch.run_batch` and returns its
-    ``(records, report)``.  The report's ``assemblies`` counters audit
-    that each ``(engine, config)`` pair assembled at most once in this
-    process."""
-    from repro.bench.batch import run_batch
-    return run_batch(cells, **kwargs)
-
-
 def run_matrix(engines=ENGINES, benchmarks=BENCHMARK_ORDER,
                configs=None, scales=None, progress=None,
                use_cache=True):

@@ -2,14 +2,21 @@
 
 Two layers live here, one per instruction set:
 
-**Host-ISA metadata** — the mnemonic classification the basic-block and
-superblock-trace engines (:mod:`repro.sim.blocks`,
-:mod:`repro.sim.traces`) need to carve a program into compilation
-units: which mnemonics terminate a block, the inlinable branch
-conditions, and the load/store access shapes.  These used to be
-private module state of ``sim/blocks.py``; they are canonical here so
-any pass that reasons about the simulated RV64 text (block formation,
-trace chaining, future host-level analyses) shares one definition.
+**Host-ISA table** — every per-mnemonic fact about the simulated RV64
+text, written down once:
+
+* the timing class of each mnemonic (:func:`kind_of`) and the extra
+  execution-unit latency of each class (:data:`EXTRA_LATENCY`), read
+  by both pipeline models (:mod:`repro.uarch`), the degraded-entry
+  fallback and the code generator;
+* one expression template per integer ALU, upper-immediate and
+  conditional-branch op (:data:`ALU`, :data:`BRANCH_COND`) and the
+  load/store shapes (:data:`LOAD_ARGS`, :data:`STORE_WIDTH`).  The
+  reference CPU (:mod:`repro.sim.cpu`) generates its handlers for these
+  ops from the tables, and the block/trace code generator
+  (:mod:`repro.sim.blocks`) fills in the same templates with constant
+  operands, so the two cannot drift;
+* block formation: the terminators and the block length cap.
 
 **Guest-bytecode views** — a uniform protocol over both engines'
 predecoded programs.  :class:`LuaView` (register VM) and
@@ -28,12 +35,12 @@ re-deriving per-engine opcode knowledge:
   (:meth:`JsView.stack_effect`).
 
 The tag-inference pass (:mod:`repro.analysis`) is the first bytecode
-consumer; the sim engines consume the host layer.
+consumer; the sim engines and timing models consume the host layer.
 """
 
 from collections import namedtuple
 
-# -- host-ISA metadata (canonical; sim/blocks.py and sim/traces.py consume) ----
+# -- host-ISA table ------------------------------------------------------------
 
 #: 64-bit register/address mask of the simulated machine.
 MASK64 = (1 << 64) - 1
@@ -48,18 +55,86 @@ MAX_BLOCK_LEN = 64
 #: ``ebreak`` halts the machine.
 TERMINATORS = frozenset(["jal", "jalr", "ecall", "ebreak"])
 
-_S = 1 << 63
+# Expression templates.  Operands are ``%(a)s``/``%(b)s`` (the rs1/rs2
+# register numbers, read as ``V[%(a)s]``), ``%(imm)s`` and ``%(pc)s``;
+# the reference CPU substitutes ``i.rs1``-style attribute reads, the
+# code generator constants.  Register values are unsigned 64-bit ints,
+# and every ALU template yields its ``rd`` value already reduced to
+# 64 bits.  The masks below are spelled into the templates as literals.
+_CONSTANTS = {"M": MASK64, "S": 1 << 63, "W": (1 << 32) - 1, "H": 1 << 31}
+_A, _B, _I = "V[%(a)s]", "V[%(b)s]", "(%(imm)s)"
 
-#: Biased compare: ``to_signed(a) < to_signed(b)`` iff
-#: ``(a ^ _S) < (b ^ _S)`` on the unsigned representations.
-BRANCH_COND = {
-    "beq": "V[%(a)d] == V[%(b)d]",
-    "bne": "V[%(a)d] != V[%(b)d]",
-    "blt": "(V[%(a)d] ^ %(S)d) < (V[%(b)d] ^ %(S)d)",
-    "bge": "(V[%(a)d] ^ %(S)d) >= (V[%(b)d] ^ %(S)d)",
-    "bltu": "V[%(a)d] < V[%(b)d]",
-    "bgeu": "V[%(a)d] >= V[%(b)d]",
-}
+
+def _signed(x):
+    """``x`` read as a two's-complement 64-bit value."""
+    return "(%s - ((%s & {S}) << 1))" % (x, x)
+
+
+def _signed32(x):
+    """The low 32 bits of ``x`` read as a two's-complement value."""
+    return "((((%s) + {H}) & {W}) - {H})" % x
+
+
+def _word(x):
+    """RV64 ``*W`` result: ``x`` truncated to 32 bits, sign-extended."""
+    return _signed32(x) + " & {M}"
+
+
+def _fill(templates):
+    return {mn: text.format(**_CONSTANTS) for mn, text in templates.items()}
+
+
+#: Conditional branch -> its taken condition.  Signed compares bias
+#: both sides: ``to_signed(a) < to_signed(b)`` iff
+#: ``(a ^ 2**63) < (b ^ 2**63)`` on the unsigned representations.
+BRANCH_COND = _fill({
+    "beq": "V[%(a)s] == V[%(b)s]",
+    "bne": "V[%(a)s] != V[%(b)s]",
+    "blt": "(V[%(a)s] ^ {S}) < (V[%(b)s] ^ {S})",
+    "bge": "(V[%(a)s] ^ {S}) >= (V[%(b)s] ^ {S})",
+    "bltu": "V[%(a)s] < V[%(b)s]",
+    "bgeu": "V[%(a)s] >= V[%(b)s]",
+})
+
+#: Integer ALU / upper-immediate op -> the value it writes to ``rd``
+#: (a pure expression: an ``rd = x0`` write may be dropped unevaluated).
+ALU = _fill({
+    "lui": _word(_I + " << 12"),
+    "auipc": "(%(pc)s + " + _signed32(_I + " << 12") + ") & {M}",
+    "addi": "(%s + %s) & {M}" % (_A, _I),
+    "slti": "1 if (%s ^ {S}) < ((%s & {M}) ^ {S}) else 0" % (_A, _I),
+    "sltiu": "1 if %s < (%s & {M}) else 0" % (_A, _I),
+    "xori": "%s ^ (%s & {M})" % (_A, _I),
+    "ori": "%s | (%s & {M})" % (_A, _I),
+    "andi": "%s & (%s & {M})" % (_A, _I),
+    "slli": "(%s << (%s & 63)) & {M}" % (_A, _I),
+    "srli": "%s >> (%s & 63)" % (_A, _I),
+    "srai": "(%s >> (%s & 63)) & {M}" % (_signed(_A), _I),
+    "addiw": _word("%s + %s" % (_A, _I)),
+    "slliw": _word("%s << (%s & 31)" % (_A, _I)),
+    "srliw": _word("(%s & {W}) >> (%s & 31)" % (_A, _I)),
+    "sraiw": "(%s >> (%s & 31)) & {M}" % (_signed32(_A), _I),
+    "add": "(%s + %s) & {M}" % (_A, _B),
+    "sub": "(%s - %s) & {M}" % (_A, _B),
+    "sll": "(%s << (%s & 63)) & {M}" % (_A, _B),
+    "slt": "1 if (%s ^ {S}) < (%s ^ {S}) else 0" % (_A, _B),
+    "sltu": "1 if %s < %s else 0" % (_A, _B),
+    "xor": "%s ^ %s" % (_A, _B),
+    "srl": "%s >> (%s & 63)" % (_A, _B),
+    "sra": "(%s >> (%s & 63)) & {M}" % (_signed(_A), _B),
+    "or": "%s | %s" % (_A, _B),
+    "and": "%s & %s" % (_A, _B),
+    "addw": _word("%s + %s" % (_A, _B)),
+    "subw": _word("%s - %s" % (_A, _B)),
+    "sllw": _word("%s << (%s & 31)" % (_A, _B)),
+    "srlw": _word("(%s & {W}) >> (%s & 31)" % (_A, _B)),
+    "sraw": "(%s >> (%s & 31)) & {M}" % (_signed32(_A), _B),
+    "mul": "(%s * %s) & {M}" % (_A, _B),
+    "mulh": "((%s * %s) >> 64) & {M}" % (_signed(_A), _signed(_B)),
+    "mulhsu": "((%s * %s) >> 64) & {M}" % (_signed(_A), _B),
+    "mulhu": "(%s * %s) >> 64" % (_A, _B),
+    "mulw": _word("%s * %s" % (_A, _B)),
+})
 
 #: ``mnemonic -> (width, signed)`` for the integer loads.
 LOAD_ARGS = {"lb": (1, True), "lh": (2, True), "lw": (4, True),
@@ -68,6 +143,51 @@ LOAD_ARGS = {"lb": (1, True), "lh": (2, True), "lw": (4, True),
 
 #: ``mnemonic -> width`` for the integer stores.
 STORE_WIDTH = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
+
+# Timing classes: what the timing models charge beyond the base cycle
+# (``K_CHECK`` is tchk/chklb: a redirect only).
+(K_NORMAL, K_BRANCH, K_JAL, K_JALR, K_LOAD, K_STORE, K_TAGGED_ALU, K_CHECK,
+ K_ECALL, K_MUL, K_DIV, K_FP_ALU, K_FP_DIV, K_FP_SQRT) = range(14)
+
+_KINDS = {
+    **dict.fromkeys(BRANCH_COND, K_BRANCH),
+    "jal": K_JAL,
+    "jalr": K_JALR,
+    # chklw is timed as a plain load: a miss redirects without the
+    # redirect penalty chklb pays.
+    **dict.fromkeys([*LOAD_ARGS, "fld", "tld", "chklw"], K_LOAD),
+    **dict.fromkeys([*STORE_WIDTH, "fsd", "tsd"], K_STORE),
+    **dict.fromkeys(["xadd", "xsub", "xmul"], K_TAGGED_ALU),
+    **dict.fromkeys(["tchk", "chklb"], K_CHECK),
+    "ecall": K_ECALL,
+    **dict.fromkeys(["mul", "mulh", "mulhsu", "mulhu", "mulw"], K_MUL),
+    **dict.fromkeys(["div", "divu", "rem", "remu", "divw", "divuw", "remw",
+                     "remuw"], K_DIV),
+    **dict.fromkeys(["fadd.d", "fsub.d", "fmul.d", "fsgnj.d", "fsgnjn.d",
+                     "fsgnjx.d", "fmin.d", "fmax.d", "feq.d", "flt.d",
+                     "fle.d", "fcvt.l.d", "fcvt.w.d", "fcvt.d.l",
+                     "fcvt.d.w", "fmv.x.d", "fmv.d.x"], K_FP_ALU),
+    "fdiv.d": K_FP_DIV,
+    "fsqrt.d": K_FP_SQRT,
+}
+
+
+def kind_of(mnemonic):
+    """The timing class of ``mnemonic`` (``K_NORMAL`` unless listed)."""
+    return _KINDS.get(mnemonic, K_NORMAL)
+
+
+#: Timing class -> the :class:`~repro.uarch.config.LatencyConfig` field
+#: holding its extra execution-unit cycles, charged on every execution.
+#: (The tagged ALU ops pay theirs only on a TRT hit; see the timing loops.)
+EXTRA_LATENCY = {K_MUL: "mul", K_DIV: "div", K_FP_ALU: "fp_alu",
+                 K_FP_DIV: "fp_div", K_FP_SQRT: "fp_sqrt"}
+
+
+def extra_cycles(latency):
+    """``{kind: cycles}`` of :data:`EXTRA_LATENCY` under ``latency``."""
+    return {kind: getattr(latency, field)
+            for kind, field in EXTRA_LATENCY.items()}
 
 
 def block_extent(instructions, start, max_len):

@@ -67,18 +67,11 @@ def _policy(config):
 # Cached, program-independent interpreter text per configuration.
 _PROGRAM_CACHE = {}
 
-#: Process-wide count of actual interpreter assemblies (cache misses).
-#: The batch executor (:mod:`repro.bench.batch`) asserts each
-#: ``(engine, config)`` pair assembles exactly once per process.
-assembly_count = 0
-
 
 def interpreter_program(config):
     """The assembled interpreter for ``config`` (cached)."""
-    global assembly_count
     cached = _PROGRAM_CACHE.get(config)
     if cached is None:
-        assembly_count += 1
         program = assemble(build_interpreter(config),
                            base=layout.CODE_BASE)
         if program.end > layout.BOOT_BLOCK:

@@ -194,19 +194,3 @@ _SPEC_LIST = [
 ]
 
 INSTRUCTION_SPECS = {spec.mnemonic: spec for spec in _SPEC_LIST}
-
-# Mnemonic groups used by the timing model and statistics.
-LOAD_MNEMONICS = frozenset(
-    ["lb", "lh", "lw", "ld", "lbu", "lhu", "lwu", "fld", "tld", "chklb",
-     "chklw"])
-STORE_MNEMONICS = frozenset(["sb", "sh", "sw", "sd", "fsd", "tsd"])
-BRANCH_MNEMONICS = frozenset(["beq", "bne", "blt", "bge", "bltu", "bgeu"])
-JUMP_MNEMONICS = frozenset(["jal", "jalr"])
-MUL_MNEMONICS = frozenset(["mul", "mulh", "mulhsu", "mulhu", "mulw", "xmul"])
-DIV_MNEMONICS = frozenset(["div", "divu", "rem", "remu", "divw", "divuw",
-                           "remw", "remuw"])
-FP_MNEMONICS = frozenset(mn for mn in INSTRUCTION_SPECS if mn.startswith("f"))
-TYPED_MNEMONICS = frozenset(
-    ["tld", "tsd", "xadd", "xsub", "xmul", "tchk", "tget", "tset", "thdl",
-     "setoffset", "setmask", "setshift", "set_trt", "flush_trt"])
-CHECKED_LOAD_MNEMONICS = frozenset(["chklb", "chklw", "settype"])

@@ -17,7 +17,11 @@ at zero until real work arrives.
 """
 
 import logging
+import multiprocessing
+import os
+import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.bench.parallel import _kill_pool, _warm_worker
@@ -25,10 +29,21 @@ from repro.engines import all_configs
 
 _LOG = logging.getLogger("repro.serve.pool")
 
+#: Seconds between a worker's checks that its shard is still alive.
+_PARENT_POLL_S = 0.5
+
 
 def _shard_worker_init(warm_engines, warm_configs):
-    """Worker initializer: warm the interpreters, then drop the disk
-    cache the ``fork`` inherited from the parent.
+    """Worker initializer: undo the shard's signal handling, watch the
+    shard, warm the interpreters, then drop the disk cache the ``fork``
+    inherited from the parent.
+
+    The fork copies the shard's asyncio handlers, which do nothing here
+    but poke the *shard's* loop through the inherited wakeup fd.
+    SIGTERM gets its default action back, so the pool's ``terminate()``
+    stops the worker; SIGINT keeps the no-op, so Ctrl-C leaves
+    in-flight work to the draining shard.  A SIGKILLed shard cannot
+    reap its pool, so a watchdog thread exits the worker after it.
 
     The shared result-cache tier is strictly single-writer per shard:
     only the shard *parent* publishes records (mirroring
@@ -37,9 +52,22 @@ def _shard_worker_init(warm_engines, warm_configs):
     root, worker-side writes would multiply the writers per cell from
     N to N x pool size for no benefit.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    threading.Thread(target=_exit_with_parent,
+                     args=(multiprocessing.parent_process().pid,),
+                     name="repro-serve-parent-watch", daemon=True).start()
     _warm_worker(warm_engines, warm_configs)
     from repro.bench import cache as result_cache
     result_cache.disable()
+
+
+def _exit_with_parent(parent_pid):
+    """Watchdog body: end this worker once it is re-parented, i.e. once
+    the shard that forked it has died."""
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(0)
 
 
 class WarmPool:

@@ -21,8 +21,10 @@ Each block is compiled to one generated Python function that
 
 * inlines the semantics of the hot instructions (integer ALU, loads
   and stores, branches and jumps, tagged loads/stores and tagged ALU
-  ops) together with the front-end, cache and TRT models they drive,
-  and calls the same semantic handlers as ``Cpu.step`` for the rest,
+  ops) together with the front-end, cache and TRT models they drive
+  (ALU and branch code is the :mod:`repro.engines.ir` templates
+  ``Cpu``'s handlers are generated from, filled with constants), and
+  calls the same semantic handlers as ``Cpu.step`` for the rest,
 * probes the I-cache once per fetched line instead of once per
   instruction (re-fetches of the MRU line are guaranteed hits, so the
   miss count, LRU state and DRAM interleaving are exactly preserved;
@@ -54,43 +56,29 @@ so one sweep compiles each interpreter's hot blocks exactly once.
 import weakref
 
 from repro.engines.ir import (
-    BRANCH_COND as _BRANCH_COND,
-    LOAD_ARGS as _LOAD_ARGS,
-    MASK64 as _M,
-    MAX_BLOCK_LEN,
-    STORE_WIDTH as _STORE_WIDTH,
-    TERMINATORS as _TERMINATORS,
-    block_extent,
-)
-from repro.isa.extension import TAG_DWORD_DISPLACEMENT
-from repro.sim.cpu import (
-    _DISPATCH,
-    _PACK_F64,
-    _PACK_U64,
-    to_signed,
-    to_unsigned,
-)
-from repro.sim.errors import IllegalInstruction
-from repro.sim.trt import TRT_OPCODES
-from repro.uarch.pipeline import (
+    ALU,
+    BRANCH_COND,
     K_BRANCH,
     K_CHECK,
-    K_DIV,
     K_ECALL,
-    K_FP_ALU,
-    K_FP_DIV,
-    K_FP_SQRT,
     K_JAL,
     K_JALR,
     K_LOAD,
-    K_MUL,
     K_STORE,
     K_TAGGED_ALU,
-    _kind_of,
+    LOAD_ARGS,
+    MASK64 as _M,
+    MAX_BLOCK_LEN,
+    STORE_WIDTH,
+    TERMINATORS,
+    block_extent,
+    extra_cycles,
+    kind_of,
 )
-
-_EXTRA_LATENCY = {K_MUL: "mul", K_DIV: "div", K_FP_ALU: "fp_alu",
-                  K_FP_DIV: "fp_div", K_FP_SQRT: "fp_sqrt"}
+from repro.isa.extension import TAG_DWORD_DISPLACEMENT
+from repro.sim.cpu import _DISPATCH, _PACK_F64, _PACK_U64
+from repro.sim.errors import IllegalInstruction
+from repro.sim.trt import TRT_OPCODES
 
 
 class BlockTable:
@@ -116,7 +104,8 @@ class BlockTable:
                              for i in program.instructions]
         except KeyError as err:
             raise IllegalInstruction("no semantics for %s" % err) from None
-        self.kinds = [_kind_of(i.mnemonic) for i in program.instructions]
+        self.kinds = [kind_of(i.mnemonic) for i in program.instructions]
+        self.extra = extra_cycles(config.latency)
         self.blocks = [None] * len(program.instructions)
         self._singles = {}
         self.compiled = 0
@@ -172,89 +161,8 @@ class BlockTable:
         return _fallback_block(self, index), 1
 
 
-# Host-ISA classification (branch conditions, load/store shapes, block
-# terminators) is canonical in repro.engines.ir and imported above.
 _SIGN = 1 << 63
-_S = 1 << 63
 _UNTYPED = 0xFF  # repro.isa.extension.TYPE_UNTYPED
-
-
-def _word_of(var):
-    """Source for ``_word(var)``: truncate to 32 bits, sign-extend."""
-    return "((%s & 2147483647) - (%s & 2147483648)) & %d" % (var, var, _M)
-
-
-def _alu_inline(i):
-    """``(stmts, expr)`` computing an inlined ALU result into registers
-    exactly as the cpu.py handler would, or ``None`` if not inlined.
-
-    The expressions mirror the ``_alu_imm``/``_alu_reg`` lambda bodies in
-    :mod:`repro.sim.cpu` (including their final ``& MASK64``); constants
-    involving the immediate are folded at compile time.
-    """
-    mn = i.mnemonic
-    a, b, imm = i.rs1, i.rs2, i.imm
-    M, S = _M, _S
-    if mn == "addi":
-        return [], "(V[%d] + %d) & %d" % (a, imm, M)
-    if mn == "andi":
-        return [], "V[%d] & %d" % (a, imm & M)
-    if mn == "ori":
-        return [], "V[%d] | %d" % (a, imm & M)
-    if mn == "xori":
-        return [], "V[%d] ^ %d" % (a, imm & M)
-    if mn == "slli":
-        return [], "(V[%d] << %d) & %d" % (a, imm & 0x3F, M)
-    if mn == "srli":
-        return [], "V[%d] >> %d" % (a, imm & 0x3F)
-    if mn == "srai":
-        return (["w = V[%d]" % a],
-                "((w - ((w & %d) << 1)) >> %d) & %d" % (S, imm & 0x3F, M))
-    if mn == "slti":
-        return [], "1 if (V[%d] ^ %d) < %d else 0" % (a, S, (imm & M) ^ S)
-    if mn == "sltiu":
-        return [], "1 if V[%d] < %d else 0" % (a, imm & M)
-    if mn == "addiw":
-        return ["w = V[%d] + %d" % (a, imm)], _word_of("w")
-    if mn == "add":
-        return [], "(V[%d] + V[%d]) & %d" % (a, b, M)
-    if mn == "sub":
-        return [], "(V[%d] - V[%d]) & %d" % (a, b, M)
-    if mn == "and":
-        return [], "V[%d] & V[%d]" % (a, b)
-    if mn == "or":
-        return [], "V[%d] | V[%d]" % (a, b)
-    if mn == "xor":
-        return [], "V[%d] ^ V[%d]" % (a, b)
-    if mn == "sll":
-        return [], "(V[%d] << (V[%d] & 63)) & %d" % (a, b, M)
-    if mn == "srl":
-        return [], "V[%d] >> (V[%d] & 63)" % (a, b)
-    if mn == "sra":
-        return (["w = V[%d]" % a],
-                "((w - ((w & %d) << 1)) >> (V[%d] & 63)) & %d" % (S, b, M))
-    if mn == "slt":
-        return [], "1 if (V[%d] ^ %d) < (V[%d] ^ %d) else 0" % (a, S, b, S)
-    if mn == "sltu":
-        return [], "1 if V[%d] < V[%d] else 0" % (a, b)
-    if mn == "mul":
-        return [], "(V[%d] * V[%d]) & %d" % (a, b, M)
-    if mn == "addw":
-        return ["w = V[%d] + V[%d]" % (a, b)], _word_of("w")
-    if mn == "subw":
-        return ["w = V[%d] - V[%d]" % (a, b)], _word_of("w")
-    if mn == "mulw":
-        return ["w = V[%d] * V[%d]" % (a, b)], _word_of("w")
-    if mn == "lui":
-        value = to_unsigned(to_signed(imm << 12, 32))
-        return [], "%d" % value
-    return None
-
-
-def _block_extent(table, start, max_len):
-    """The exclusive stop index of the block entered at ``start``
-    (see :func:`repro.engines.ir.block_extent`)."""
-    return block_extent(table.instructions, start, max_len)
 
 
 class _Emitter:
@@ -468,7 +376,9 @@ class _Emitter:
         uses = self.uses
         lat = self.lat
         k = self.k
-        self.pend += 1  # base cycle (single-issue in-order)
+        # Base cycle (single-issue in-order) plus the execution unit's
+        # extra latency, both charged on every execution.
+        self.pend += 1 + self.table.extra.get(kind, 0)
 
         # Load-use interlock: inside the unit both sides are static;
         # only the first instruction races the previous unit's load.
@@ -498,14 +408,13 @@ class _Emitter:
             body.append("        if not ic(%d): c += dr(%d)" % (pc, pc))
 
         prev_next = -1
-        alu = None
-        if mn in _BRANCH_COND:
+        if mn in BRANCH_COND:
             # Inline branch: the front end is trained with the same
             # (pc, taken, next-pc) triple, just with constants folded
             # per direction.
             uses.add("regs")
             target = (pc + i.imm) & _M
-            cond = _BRANCH_COND[mn] % {"a": i.rs1, "b": i.rs2, "S": _S}
+            cond = BRANCH_COND[mn] % {"a": i.rs1, "b": i.rs2}
             self.fe_branches += 1
             if chain is not None and chain[0] == "taken":
                 body.append("    if not (%s):" % cond)
@@ -573,10 +482,10 @@ class _Emitter:
             else:
                 body.append("    cpu.pc = t")
                 self.emit_exit(k + 1, -1, "    ")
-        elif mn in _LOAD_ARGS:
+        elif mn in LOAD_ARGS:
             uses.add("regs")
             uses.add("mem")
-            width, signed = _LOAD_ARGS[mn]
+            width, signed = LOAD_ARGS[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
             # In-bounds accesses read the backing bytearray directly;
             # the bounds check routes out-of-range addresses to
@@ -599,10 +508,10 @@ class _Emitter:
                 body.append("    F[%d] = 0" % i.rd)
             prev_next = i.rd or -1
             self.pc_stale = True
-        elif mn in _STORE_WIDTH:
+        elif mn in STORE_WIDTH:
             uses.add("regs")
             uses.add("mem")
-            width = _STORE_WIDTH[mn]
+            width = STORE_WIDTH[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
             uses.add("memf")
             body.append("    if a + %d > msz:" % width)
@@ -802,27 +711,14 @@ class _Emitter:
             if mn == "xmul":
                 self.pend += lat.mul  # charged on the fast path
             self.pc_stale = True
-        elif mn == "auipc":
+        elif mn in ALU:
             if i.rd:
                 uses.add("regs")
-                value = (pc + to_signed(i.imm << 12, 32)) & _M
-                body.append("    V[%d] = %d" % (i.rd, value))
+                body.append("    V[%d] = %s" % (i.rd, ALU[mn] % {
+                    "a": i.rs1, "b": i.rs2, "imm": i.imm, "pc": pc}))
                 body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
                 body.append("    F[%d] = 0" % i.rd)
-            self.pc_stale = True
-        elif (alu := _alu_inline(i)) is not None:
-            stmts, expr = alu
-            if i.rd:
-                uses.add("regs")
-                for stmt in stmts:
-                    body.append("    " + stmt)
-                body.append("    V[%d] = %s" % (i.rd, expr))
-                body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
-                body.append("    F[%d] = 0" % i.rd)
-            # rd == x0: the handler's computation is pure, so a dead
-            # write is simply elided.
-            if kind == K_MUL:
-                self.pend += lat.mul
+            # rd == x0: the template is pure, so a dead write is elided.
             self.pc_stale = True
         else:
             if kind in (K_BRANCH, K_JAL, K_JALR, K_STORE, K_TAGGED_ALU):
@@ -878,9 +774,6 @@ class _Emitter:
                     # redirect straight to the slow path.
                     body.append("    if cpu.pc != %d:" % (pc + 4))
                     self.emit_exit(k + 1, -1, "        ")
-                extra = _EXTRA_LATENCY.get(kind)
-                if extra is not None:
-                    self.pend += getattr(lat, extra)
         self.prev_out = prev_next
         self.prev_pc = pc
         self.k += 1
@@ -888,7 +781,7 @@ class _Emitter:
     def finish(self, stop):
         """Emit the final fall-through exit unless the last instruction
         was a terminator (whose exit is already emitted)."""
-        if self.instrs[stop - 1].mnemonic not in _TERMINATORS:
+        if self.instrs[stop - 1].mnemonic not in TERMINATORS:
             exit_pc = self.base + 4 * stop if self.pc_stale else None
             self.emit_exit(self.k, self.prev_out, "    ", exit_pc=exit_pc)
 
@@ -934,7 +827,7 @@ class _Emitter:
 def _compile_block(table, start, max_len):
     """Generate, ``exec`` and return ``(fn, count)`` for the block
     entered at instruction index ``start``."""
-    stop = _block_extent(table, start, max_len)
+    stop = block_extent(table.instructions, start, max_len)
     emitter = _Emitter(table)
     for index in range(start, stop):
         emitter.emit(index)
@@ -960,6 +853,7 @@ def _fallback_block(table, index):
     lus = lat.load_use_stall
     rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
     mnemonic = instr.mnemonic
+    extra = table.extra.get(kind, 0)
 
     def step(cpu, prev, ic, dc, dr, fe, ct, icc):
         cpu.step()
@@ -1012,16 +906,8 @@ def _fallback_block(table, index):
                 ct.host_instructions += cost
                 ct.host_calls += 1
                 c += int(cost * lat.host_cpi)
-            elif kind == K_MUL:
-                c += lat.mul
-            elif kind == K_DIV:
-                c += lat.div
-            elif kind == K_FP_ALU:
-                c += lat.fp_alu
-            elif kind == K_FP_DIV:
-                c += lat.fp_div
-            elif kind == K_FP_SQRT:
-                c += lat.fp_sqrt
+            else:
+                c += extra
         return c, out_prev
 
     return step

@@ -19,6 +19,8 @@ code and execution never returns to the faulting instruction.
 
 import struct
 
+from repro.engines.ir import ALU, BRANCH_COND, LOAD_ARGS, STORE_WIDTH
+from repro.isa.extension import TYPE_UNTYPED
 from repro.sim.errors import (
     ExecutionLimitExceeded,
     IllegalInstruction,
@@ -232,20 +234,6 @@ class Cpu:
 # Semantic functions.  Each takes (cpu, instr) and must set cpu.pc.
 # ---------------------------------------------------------------------------
 
-def _advance(cpu):
-    cpu.pc += 4
-
-
-def _op_lui(cpu, i):
-    cpu.regs.write(i.rd, to_unsigned(to_signed(i.imm << 12, 32)))
-    cpu.pc += 4
-
-
-def _op_auipc(cpu, i):
-    cpu.regs.write(i.rd, (cpu.pc + to_signed(i.imm << 12, 32)) & MASK64)
-    cpu.pc += 4
-
-
 def _op_jal(cpu, i):
     cpu.regs.write(i.rd, cpu.pc + 4)
     cpu.pc = (cpu.pc + i.imm) & MASK64
@@ -257,14 +245,48 @@ def _op_jalr(cpu, i):
     cpu.pc = target
 
 
-def _branch(compare):
-    def op(cpu, i):
-        if compare(cpu.regs.value[i.rs1], cpu.regs.value[i.rs2]):
-            cpu.pc = (cpu.pc + i.imm) & MASK64
-            cpu.branch_taken = True
-        else:
-            cpu.pc += 4
-    return op
+# The conditional branches and the integer ALU / upper-immediate ops are
+# generated from their expression templates in repro.engines.ir, the
+# same templates the block/trace code generator fills with constants.
+_BRANCH_SOURCE = """
+def _op_%(mn)s(cpu, i):
+    V = cpu.regs.value
+    if %(expr)s:
+        cpu.pc = (cpu.pc + i.imm) & %(mask)d
+        cpu.branch_taken = True
+    else:
+        cpu.pc += 4
+"""
+
+# Writes the untyped result as ``regs.write`` does, x0 guard included.
+_ALU_SOURCE = """
+def _op_%(mn)s(cpu, i):
+    rd = i.rd
+    if rd:
+        r = cpu.regs
+        V = r.value
+        V[rd] = %(expr)s
+        r.type[rd] = %(untyped)d
+        r.fbit[rd] = 0
+    cpu.pc += 4
+"""
+
+
+def _generated_ops():
+    """``{mnemonic: handler}`` for every :data:`BRANCH_COND` and
+    :data:`ALU` op, compiled in one ``exec``."""
+    operands = {"a": "i.rs1", "b": "i.rs2", "imm": "i.imm", "pc": "cpu.pc"}
+    source = []
+    for template, table in ((_BRANCH_SOURCE, BRANCH_COND),
+                            (_ALU_SOURCE, ALU)):
+        for mn, expr in table.items():
+            source.append(template % {"mn": mn, "expr": expr % operands,
+                                      "mask": MASK64,
+                                      "untyped": TYPE_UNTYPED})
+    namespace = {}
+    exec(compile("".join(source), "<repro.sim.cpu generated handlers>",
+                 "exec"), namespace)
+    return {mn: namespace["_op_" + mn] for mn in (*BRANCH_COND, *ALU)}
 
 
 def _load_op(width, signed):
@@ -283,14 +305,9 @@ def _store_op(width):
     return op
 
 
-def _alu_imm(fn):
-    def op(cpu, i):
-        cpu.regs.write(i.rd, fn(cpu.regs.value[i.rs1], i.imm) & MASK64)
-        cpu.pc += 4
-    return op
-
-
 def _alu_reg(fn):
+    """Handler for a divide/remainder op (the one ALU family the code
+    generator calls instead of inlining)."""
     def op(cpu, i):
         cpu.regs.write(
             i.rd, fn(cpu.regs.value[i.rs1], cpu.regs.value[i.rs2]) & MASK64)
@@ -617,66 +634,17 @@ _op_chklw = _checked_load(4)
 
 
 def _build_dispatch():
-    shift_mask = 0x3F
-    table = {
-        "lui": _op_lui, "auipc": _op_auipc,
+    table = _generated_ops()
+    for mn, (width, signed) in LOAD_ARGS.items():
+        table[mn] = _load_op(width, signed)
+    for mn, width in STORE_WIDTH.items():
+        table[mn] = _store_op(width)
+    table.update({
         "jal": _op_jal, "jalr": _op_jalr,
-        "beq": _branch(lambda a, b: a == b),
-        "bne": _branch(lambda a, b: a != b),
-        "blt": _branch(lambda a, b: to_signed(a) < to_signed(b)),
-        "bge": _branch(lambda a, b: to_signed(a) >= to_signed(b)),
-        "bltu": _branch(lambda a, b: a < b),
-        "bgeu": _branch(lambda a, b: a >= b),
-        "lb": _load_op(1, True), "lh": _load_op(2, True),
-        "lw": _load_op(4, True), "ld": _load_op(8, False),
-        "lbu": _load_op(1, False), "lhu": _load_op(2, False),
-        "lwu": _load_op(4, False),
-        "sb": _store_op(1), "sh": _store_op(2),
-        "sw": _store_op(4), "sd": _store_op(8),
-        "addi": _alu_imm(lambda a, imm: a + imm),
-        "slti": _alu_imm(lambda a, imm: 1 if to_signed(a) < imm else 0),
-        "sltiu": _alu_imm(
-            lambda a, imm: 1 if a < to_unsigned(imm) else 0),
-        "xori": _alu_imm(lambda a, imm: a ^ to_unsigned(imm)),
-        "ori": _alu_imm(lambda a, imm: a | to_unsigned(imm)),
-        "andi": _alu_imm(lambda a, imm: a & to_unsigned(imm)),
-        "slli": _alu_imm(lambda a, imm: a << (imm & shift_mask)),
-        "srli": _alu_imm(lambda a, imm: a >> (imm & shift_mask)),
-        "srai": _alu_imm(
-            lambda a, imm: to_unsigned(to_signed(a) >> (imm & shift_mask))),
-        "addiw": _alu_imm(lambda a, imm: _word(a + imm)),
-        "slliw": _alu_imm(lambda a, imm: _word(a << (imm & 0x1F))),
-        "srliw": _alu_imm(lambda a, imm: _word((a & 0xFFFFFFFF)
-                                               >> (imm & 0x1F))),
-        "sraiw": _alu_imm(
-            lambda a, imm: _word(to_signed(a, 32) >> (imm & 0x1F))),
-        "add": _alu_reg(lambda a, b: a + b),
-        "sub": _alu_reg(lambda a, b: a - b),
-        "sll": _alu_reg(lambda a, b: a << (b & shift_mask)),
-        "slt": _alu_reg(lambda a, b: 1 if to_signed(a) < to_signed(b) else 0),
-        "sltu": _alu_reg(lambda a, b: 1 if a < b else 0),
-        "xor": _alu_reg(lambda a, b: a ^ b),
-        "srl": _alu_reg(lambda a, b: a >> (b & shift_mask)),
-        "sra": _alu_reg(
-            lambda a, b: to_unsigned(to_signed(a) >> (b & shift_mask))),
-        "or": _alu_reg(lambda a, b: a | b),
-        "and": _alu_reg(lambda a, b: a & b),
-        "addw": _alu_reg(lambda a, b: _word(a + b)),
-        "subw": _alu_reg(lambda a, b: _word(a - b)),
-        "sllw": _alu_reg(lambda a, b: _word(a << (b & 0x1F))),
-        "srlw": _alu_reg(lambda a, b: _word((a & 0xFFFFFFFF) >> (b & 0x1F))),
-        "sraw": _alu_reg(
-            lambda a, b: _word(to_signed(a, 32) >> (b & 0x1F))),
-        "mul": _alu_reg(lambda a, b: a * b),
-        "mulh": _alu_reg(
-            lambda a, b: to_unsigned((to_signed(a) * to_signed(b)) >> 64)),
-        "mulhsu": _alu_reg(lambda a, b: to_unsigned((to_signed(a) * b) >> 64)),
-        "mulhu": _alu_reg(lambda a, b: (a * b) >> 64),
         "div": _alu_reg(_div),
         "divu": _alu_reg(lambda a, b: MASK64 if b == 0 else a // b),
         "rem": _alu_reg(_rem),
         "remu": _alu_reg(lambda a, b: a if b == 0 else a % b),
-        "mulw": _alu_reg(lambda a, b: _word(a * b)),
         "divw": _alu_reg(
             lambda a, b: to_unsigned(to_signed(_div_w(a, b), 32))),
         "divuw": _alu_reg(
@@ -718,7 +686,7 @@ def _build_dispatch():
         "setshift": _op_setshift, "set_trt": _op_set_trt,
         "flush_trt": _op_flush_trt,
         "settype": _op_settype, "chklb": _op_chklb, "chklw": _op_chklw,
-    }
+    })
     return table
 
 

@@ -389,8 +389,8 @@ def trace_table(program, config, workload=None):
     it runs — so it is additionally keyed by the ``workload`` token the
     engine stamps on the CPU (see ``vm.prepare``).  This mirrors a real
     DBT's per-process code cache: two guests never pollute each other's
-    traces, while repeated runs of the same guest (warm-up, sweeps,
-    batch cells) reuse profiles and compiled traces for free.
+    traces, while repeated runs of the same guest (warm-up, sweeps)
+    reuse profiles and compiled traces for free.
     """
     per_program = _TABLES.get(program)
     if per_program is None:

@@ -16,11 +16,17 @@ overlap to mis-model beyond the load-use interlock) while staying fast
 enough to run the full benchmark suite in pure Python.
 """
 
-from repro.isa.instructions import (
-    BRANCH_MNEMONICS,
-    DIV_MNEMONICS,
-    LOAD_MNEMONICS,
-    STORE_MNEMONICS,
+from repro.engines.ir import (
+    K_BRANCH,
+    K_CHECK,
+    K_ECALL,
+    K_JAL,
+    K_JALR,
+    K_LOAD,
+    K_STORE,
+    K_TAGGED_ALU,
+    extra_cycles,
+    kind_of,
 )
 from repro.sim.errors import ExecutionLimitExceeded, IllegalInstruction
 from repro.sim.trt import attribution_keys
@@ -29,57 +35,6 @@ from repro.uarch.cache import Cache
 from repro.uarch.config import DEFAULT_CONFIG
 from repro.uarch.counters import Counters
 from repro.uarch.dram import Dram
-
-# Instruction kind codes precomputed per program index for a lean run loop.
-K_NORMAL = 0
-K_BRANCH = 1
-K_JAL = 2
-K_JALR = 3
-K_LOAD = 4
-K_STORE = 5
-K_TAGGED_ALU = 6
-K_CHECK = 7      # tchk / chklb: redirect only
-K_ECALL = 8
-K_MUL = 9
-K_DIV = 10
-K_FP_ALU = 11
-K_FP_DIV = 12
-K_FP_SQRT = 13
-
-_FP_ALU_MNEMONICS = frozenset(
-    ["fadd.d", "fsub.d", "fmul.d", "fsgnj.d", "fsgnjn.d", "fsgnjx.d",
-     "fmin.d", "fmax.d", "feq.d", "flt.d", "fle.d", "fcvt.l.d", "fcvt.w.d",
-     "fcvt.d.l", "fcvt.d.w", "fmv.x.d", "fmv.d.x"])
-
-
-def _kind_of(mnemonic):
-    if mnemonic in BRANCH_MNEMONICS:
-        return K_BRANCH
-    if mnemonic == "jal":
-        return K_JAL
-    if mnemonic == "jalr":
-        return K_JALR
-    if mnemonic in LOAD_MNEMONICS and mnemonic != "chklb":
-        return K_LOAD
-    if mnemonic in STORE_MNEMONICS:
-        return K_STORE
-    if mnemonic in ("xadd", "xsub", "xmul"):
-        return K_TAGGED_ALU
-    if mnemonic in ("tchk", "chklb", "chklw"):
-        return K_CHECK
-    if mnemonic == "ecall":
-        return K_ECALL
-    if mnemonic in ("mul", "mulh", "mulhsu", "mulhu", "mulw"):
-        return K_MUL
-    if mnemonic in DIV_MNEMONICS:
-        return K_DIV
-    if mnemonic == "fdiv.d":
-        return K_FP_DIV
-    if mnemonic == "fsqrt.d":
-        return K_FP_SQRT
-    if mnemonic in _FP_ALU_MNEMONICS:
-        return K_FP_ALU
-    return K_NORMAL
 
 
 class Attribution:
@@ -137,7 +92,7 @@ class Machine:
         self.telemetry = telemetry
         self.use_blocks = use_blocks
         self.use_traces = use_traces
-        self._kinds = [_kind_of(i.mnemonic)
+        self._kinds = [kind_of(i.mnemonic)
                        for i in cpu.program.instructions]
 
     def run(self, max_instructions=200_000_000):
@@ -286,6 +241,7 @@ class Machine:
         cpu = self.cpu
         config = self.config
         latency = config.latency
+        extra = extra_cycles(latency)
         icache = self.icache
         dcache = self.dcache
         dram = self.dram
@@ -434,16 +390,8 @@ class Machine:
                     counters.host_instructions += cost
                     counters.host_calls += 1
                     cycles += int(cost * latency.host_cpi)
-                elif kind == K_MUL:
-                    cycles += latency.mul
-                elif kind == K_DIV:
-                    cycles += latency.div
-                elif kind == K_FP_ALU:
-                    cycles += latency.fp_alu
-                elif kind == K_FP_DIV:
-                    cycles += latency.fp_div
-                elif kind == K_FP_SQRT:
-                    cycles += latency.fp_sqrt
+                else:
+                    cycles += extra[kind]
 
             if cpu.instret >= max_instructions:
                 raise ExecutionLimitExceeded(

@@ -19,6 +19,18 @@ retirement order with ready-time bookkeeping is exact with respect to
 this stage model — no cycle-by-cycle event loop is needed.
 """
 
+from repro.engines.ir import (
+    K_BRANCH,
+    K_CHECK,
+    K_ECALL,
+    K_JAL,
+    K_JALR,
+    K_LOAD,
+    K_STORE,
+    K_TAGGED_ALU,
+    extra_cycles,
+    kind_of,
+)
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.sim.errors import ExecutionLimitExceeded
 from repro.uarch.branch import FrontEnd
@@ -26,22 +38,6 @@ from repro.uarch.cache import Cache
 from repro.uarch.config import DEFAULT_CONFIG
 from repro.uarch.counters import Counters
 from repro.uarch.dram import Dram
-from repro.uarch.pipeline import (
-    K_BRANCH,
-    K_CHECK,
-    K_DIV,
-    K_ECALL,
-    K_FP_ALU,
-    K_FP_DIV,
-    K_FP_SQRT,
-    K_JAL,
-    K_JALR,
-    K_LOAD,
-    K_MUL,
-    K_STORE,
-    K_TAGGED_ALU,
-    _kind_of,
-)
 
 _READS_RS2_FMTS = frozenset(["R", "S", "B"])
 
@@ -57,7 +53,7 @@ class ScoreboardMachine:
         self.dram = Dram(self.config.dram)
         self.frontend = FrontEnd(self.config.branch)
         self.counters = Counters()
-        self._kinds = [_kind_of(i.mnemonic)
+        self._kinds = [kind_of(i.mnemonic)
                        for i in cpu.program.instructions]
         self._reads_rs2 = [
             INSTRUCTION_SPECS[i.mnemonic].fmt in _READS_RS2_FMTS
@@ -66,6 +62,7 @@ class ScoreboardMachine:
     def run(self, max_instructions=200_000_000):
         cpu = self.cpu
         latency = self.config.latency
+        extra_of = extra_cycles(latency)
         kinds = self._kinds
         reads_rs2 = self._reads_rs2
         base = cpu.program.base
@@ -108,18 +105,8 @@ class ScoreboardMachine:
                     issue = reg_ready[instr.rs2]
 
             # -- EX -------------------------------------------------------
-            extra = 0
-            if kind == K_MUL:
-                extra = latency.mul
-            elif kind == K_DIV:
-                extra = latency.div
-            elif kind == K_FP_ALU:
-                extra = latency.fp_alu
-            elif kind == K_FP_DIV:
-                extra = latency.fp_div
-            elif kind == K_FP_SQRT:
-                extra = latency.fp_sqrt
-            elif kind == K_TAGGED_ALU and not cpu.redirect:
+            extra = extra_of.get(kind, 0)
+            if kind == K_TAGGED_ALU and not cpu.redirect:
                 if cpu.regs.fbit[instr.rd] or instr.mnemonic == "xmul":
                     extra = latency.fp_alu if instr.mnemonic != "xmul" \
                         else latency.mul

@@ -207,4 +207,4 @@ def test_host_metadata_shapes():
     assert ir.TERMINATORS == frozenset(["jal", "jalr", "ecall", "ebreak"])
     assert set(ir.LOAD_ARGS) & {"lw", "ld", "lbu"}
     assert ir.STORE_WIDTH["sd"] == 8
-    assert "%(a)d" in ir.BRANCH_COND["beq"]
+    assert "%(a)s" in ir.BRANCH_COND["beq"]

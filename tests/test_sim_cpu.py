@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.isa.assembler import assemble
+from repro.engines import ir
+from repro.isa.assembler import Program, assemble
 from repro.isa.extension import (
     LUA_SPR,
     SPIDERMONKEY_SPR,
     TYPE_UNTYPED,
     arithmetic_rules,
 )
+from repro.isa.instructions import Instruction
 from repro.sim import nanbox
 from repro.sim.cpu import Cpu, float_to_bits, to_signed
 from repro.sim.errors import ExecutionLimitExceeded, IllegalInstruction
@@ -423,3 +425,121 @@ def test_context_save_restore():
     assert cpu.regs.type[5] == 19
     assert cpu.r_hdl == 0x1234
     assert len(cpu.trt) == 6
+
+
+# -- an oracle for the shared ALU/branch table -------------------------------
+#
+# The reference handlers and the block/trace code generator are both
+# built from the templates in repro.engines.ir, so the three-engine
+# differential cannot catch a wrong template; plain integer arithmetic
+# can.
+
+_EDGE_VALUES = [0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**63 - 1, 2**63,
+                2**64 - 1, 0xA5C3_0F96_5A3C_F069]
+_EDGE_IMMS = [0, 1, -1, 31, 32, 63, -2048, 2047]
+
+
+def _s64(x):
+    x %= 2**64
+    return x - 2**64 if x >= 2**63 else x
+
+
+def _s32(x):
+    x %= 2**32
+    return x - 2**32 if x >= 2**31 else x
+
+
+_REG_ORACLE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "sll": lambda a, b: a * 2 ** (b % 64),
+    "slt": lambda a, b: int(_s64(a) < _s64(b)),
+    "sltu": lambda a, b: int(a < b),
+    "xor": lambda a, b: a ^ b,
+    "srl": lambda a, b: a // 2 ** (b % 64),
+    "sra": lambda a, b: _s64(a) // 2 ** (b % 64),
+    "or": lambda a, b: a | b,
+    "and": lambda a, b: a & b,
+    "addw": lambda a, b: _s32(a + b),
+    "subw": lambda a, b: _s32(a - b),
+    "sllw": lambda a, b: _s32(a * 2 ** (b % 32)),
+    "srlw": lambda a, b: _s32((a % 2**32) // 2 ** (b % 32)),
+    "sraw": lambda a, b: _s32(a) // 2 ** (b % 32),
+    "mul": lambda a, b: a * b,
+    "mulh": lambda a, b: (_s64(a) * _s64(b)) // 2**64,
+    "mulhsu": lambda a, b: (_s64(a) * b) // 2**64,
+    "mulhu": lambda a, b: (a * b) // 2**64,
+    "mulw": lambda a, b: _s32(a * b),
+    # Upper immediates: ``b`` is the instruction's PC.
+    "lui": lambda b, imm: _s32(imm * 2**12),
+    "auipc": lambda b, imm: b + _s32(imm * 2**12),
+}
+
+#: An immediate op is its register op with ``rs2`` = the immediate.
+_IMM_OF = {"addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor",
+           "ori": "or", "andi": "and", "slli": "sll", "srli": "srl",
+           "srai": "sra", "addiw": "addw", "slliw": "sllw",
+           "srliw": "srlw", "sraiw": "sraw"}
+
+_BRANCH_ORACLE = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: _s64(a) < _s64(b),
+    "bge": lambda a, b: _s64(a) >= _s64(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+}
+
+_PC = 0x1000
+
+
+def _step_one(mn, a=0, b=0, imm=0, rd=5):
+    """Execute one ``mn rd, x6, x7`` / ``imm`` through ``Cpu.step``
+    with ``x6 = a``, ``x7 = b`` and a stale typed value in ``x5``."""
+    instr = Instruction(mn, rd=rd, rs1=6, rs2=7, imm=imm)
+    cpu = Cpu(Program([instr], {}, base=_PC), Memory(size=64))
+    cpu.regs.write(6, a)
+    cpu.regs.write(7, b)
+    cpu.regs.write_typed(5, 0x1234, 3, 1)
+    cpu.step()
+    return cpu
+
+
+def test_oracles_cover_the_shared_table():
+    assert set(ir.ALU) == set(_REG_ORACLE) | set(_IMM_OF)
+    assert set(ir.BRANCH_COND) == set(_BRANCH_ORACLE)
+
+
+def _alu_cases(mn):
+    if mn in _IMM_OF:
+        oracle = _REG_ORACLE[_IMM_OF[mn]]
+        return [(a, 0, imm, oracle(a, imm % 2**64))
+                for a in _EDGE_VALUES for imm in _EDGE_IMMS]
+    if mn in ("lui", "auipc"):
+        return [(0, 0, imm, _REG_ORACLE[mn](_PC, imm)) for imm in _EDGE_IMMS]
+    return [(a, b, 0, _REG_ORACLE[mn](a, b))
+            for a in _EDGE_VALUES for b in _EDGE_VALUES]
+
+
+@pytest.mark.parametrize("mn", sorted(ir.ALU))
+def test_alu_handler_matches_integer_oracle(mn):
+    for a, b, imm, expected in _alu_cases(mn):
+        cpu = _step_one(mn, a, b, imm)
+        assert cpu.regs.value[5] == expected % 2**64, (mn, a, b, imm)
+        assert (cpu.regs.type[5], cpu.regs.fbit[5]) == (TYPE_UNTYPED, 0)
+        assert cpu.pc == _PC + 4
+        cpu = _step_one(mn, a, b, imm, rd=0)
+        assert cpu.regs.value[0] == 0
+        assert (cpu.regs.type[0], cpu.regs.fbit[0]) == (TYPE_UNTYPED, 0)
+        assert cpu.regs.value[5] == 0x1234  # untouched
+
+
+@pytest.mark.parametrize("mn", sorted(ir.BRANCH_COND))
+def test_branch_handler_matches_integer_oracle(mn):
+    for a in _EDGE_VALUES:
+        for b in _EDGE_VALUES:
+            cpu = _step_one(mn, a, b, imm=-2048)
+            taken = _BRANCH_ORACLE[mn](a, b)
+            assert cpu.branch_taken is taken, (mn, a, b)
+            assert cpu.pc == (_PC - 2048 if taken else _PC + 4)
+            assert cpu.regs.value[5] == 0x1234  # no register write

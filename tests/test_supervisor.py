@@ -253,3 +253,57 @@ def test_supervisor_heals_a_sigkilled_shard(manager):
         assert supervisor.stats()["respawns"] >= 1
     finally:
         supervisor.stop()
+
+
+# -- pool workers do not outlive their shard ---------------------------------
+
+_SPIN = "local s = 0\nfor i = 1, 100000000 do s = s + i end\nprint(s)\n"
+
+
+def _ppid(pid):
+    """Parent pid of a running process; ``None`` once it has exited
+    (a zombie counts as exited)."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return None if state in "ZX" else int(ppid)
+
+
+def _gone_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(_ppid(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.1)
+    return True
+
+
+@pytest.fixture
+def workers(manager):
+    """Pids of shard 0's warm pool workers (SIGKILLed at teardown if a
+    test leaves them running)."""
+    with manager.specs[0].client(timeout=60.0) as client:
+        assert client.run("lua", "print(1)").output == "1\n"
+    shard = manager.procs[0].pid
+    pids = [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and _ppid(int(entry)) == shard]
+    assert pids
+    yield pids
+    for pid in pids:
+        if _ppid(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_deadline_kill_stops_the_old_worker(manager, workers):
+    from repro.serve.client import ServeError
+    with manager.specs[0].client(timeout=60.0) as client:
+        with pytest.raises(ServeError, match="worker killed"):
+            client.run("lua", _SPIN, deadline=1.0)
+    assert _gone_within(workers, 10), "worker outlived its kill"
+
+
+def test_killed_shard_takes_its_workers_along(manager, workers):
+    manager.kill(0)
+    assert _gone_within(workers, 10), "workers outlived their shard"
