@@ -1,100 +1,73 @@
-"""The shared-predecode batch executor (:mod:`repro.bench.batch`).
+"""Cells run back to back in one process share predecoded state.
 
-The contract: cells grouped by ``(engine, config)`` share one
-assembled interpreter, predecoded program and block/trace tables —
-each pair assembles **at most once per process** (audited by the
-engine modules' ``assembly_count``), while per-run state (memory,
-registers, runtime output) is rebuilt from scratch so cells sharing a
-table are fully isolated.
+A sweep worker runs its shard grouped by ``(engine, config)`` (see
+:func:`repro.bench.parallel.run_matrix_parallel`).  The contract: the
+cells of one pair share one assembled interpreter and its block/trace
+tables — each pair assembles **at most once per process** — while
+per-run state (memory, registers, runtime output) is rebuilt from
+scratch, so cells sharing a table are fully isolated.
 """
 
-import pytest
-
-from repro.bench import batch
 from repro.bench.runner import run_benchmark
+from repro.engines.js import vm as js_vm
+from repro.engines.lua import vm as lua_vm
+from repro.sim.blocks import block_table
+from repro.uarch.config import DEFAULT_CONFIG
 
 _SCALES = {"fibo": 8, "n-sieve": 100}
+_VMS = {"lua": lua_vm, "js": js_vm}
 
 
-def _cells(*triples):
-    return [(engine, benchmark, config, _SCALES[benchmark])
-            for engine, benchmark, config in triples]
+def _run(cell):
+    engine, benchmark, config = cell
+    return run_benchmark(engine, benchmark, config,
+                         scale=_SCALES[benchmark], use_cache=False,
+                         attribute=False)
 
 
-def test_group_cells_orders_by_first_appearance():
-    cells = _cells(("lua", "fibo", "baseline"),
-                   ("js", "fibo", "baseline"),
-                   ("lua", "n-sieve", "baseline"),
-                   ("lua", "fibo", "typed"))
-    groups = batch.group_cells(cells)
-    assert list(groups) == [("lua", "baseline"), ("js", "baseline"),
-                            ("lua", "typed")]
-    assert groups[("lua", "baseline")] == [("fibo", 8), ("n-sieve", 100)]
+def _cold_assembly_counts(monkeypatch):
+    """Empty every engine's interpreter cache for this test and count
+    the interpreter builds per ``(engine, config)`` pair from here on."""
+    counts = {}
+    for engine, vm in _VMS.items():
+        def counted(config, engine=engine, real=vm.build_interpreter):
+            counts[(engine, config)] = counts.get((engine, config), 0) + 1
+            return real(config)
+        monkeypatch.setattr(vm, "_PROGRAM_CACHE", {})
+        monkeypatch.setattr(vm, "build_interpreter", counted)
+    return counts
 
 
-def test_batch_cells_are_pair_contiguous():
-    cells = batch.batch_cells(benchmarks=("fibo", "n-sieve"),
-                              configs=("baseline", "typed"))
-    groups = batch.group_cells(cells)
-    # (engine, config) major: one contiguous group per pair.
-    assert len(groups) == 4
-    sizes = [len(members) for members in groups.values()]
-    assert sizes == [2, 2, 2, 2]
+def test_batch_assembles_each_pair_at_most_once(monkeypatch):
+    counts = _cold_assembly_counts(monkeypatch)
+    cells = [("lua", "fibo", "baseline"),
+             ("lua", "n-sieve", "baseline"),
+             ("lua", "fibo", "typed"),
+             ("js", "fibo", "baseline")]
+    for cell in cells:
+        _run(cell)
+    assert counts == {("lua", "baseline"): 1, ("lua", "typed"): 1,
+                      ("js", "baseline"): 1}
+    for engine, config in counts:
+        program, _attribution = _VMS[engine].interpreter_program(config)
+        assert block_table(program, DEFAULT_CONFIG).compiled > 0
+    # A warm re-run shares everything: zero further assemblies.
+    for cell in cells:
+        _run(cell)
+    assert sum(counts.values()) == 3
 
 
-def test_batch_assembles_each_pair_at_most_once():
-    cells = _cells(("lua", "fibo", "baseline"),
-                   ("lua", "n-sieve", "baseline"),
-                   ("lua", "fibo", "typed"),
-                   ("js", "fibo", "baseline"))
-    records, report = batch.run_batch(cells)
-    assert report["cells"] == 4
-    assert report["pairs"] == 3
-    for group in report["groups"]:
-        assert group["assemblies"] <= 1
-        assert group["blocks_compiled"] > 0
-    # A warm re-batch shares everything: zero assemblies, and the
-    # exactly-once process-wide property holds by the counter audit.
-    _again, warm_report = batch.run_batch(cells)
-    assert warm_report["assemblies_total"] == 0
-    for group in warm_report["groups"]:
-        assert group["assemblies"] == 0
-
-
-def test_batch_cells_isolated_despite_shared_tables():
-    """The same cell twice in one batch — and against a fresh
-    standalone run — must agree bit for bit: per-run state never
-    leaks through the shared block/trace tables."""
-    cell = ("lua", "fibo", "baseline", 8)
-    records, _report = batch.run_batch([cell, cell][:1] + [cell])
-    batched = records[cell]
-    standalone = run_benchmark("lua", "fibo", "baseline", scale=8,
-                               use_cache=False, attribute=False)
-    assert batched.output == standalone.output
-    assert batched.counters.as_dict() == standalone.counters.as_dict()
-
-
-def test_batch_invariant_violation_raises(monkeypatch):
-    """A (hypothetical) engine that re-assembles per run must trip the
-    audit, not silently ship a cold sweep."""
-    from repro.engines.lua import vm as lua_vm
-
-    real = lua_vm.interpreter_program
-
-    def cold(config):
-        lua_vm._PROGRAM_CACHE.pop(config, None)
-        return real(config)
-
-    monkeypatch.setattr(lua_vm, "interpreter_program", cold)
-    cells = _cells(("lua", "fibo", "baseline"),
-                   ("lua", "n-sieve", "baseline"))
-    with pytest.raises(batch.BatchInvariantError):
-        batch.run_batch(cells)
-
-
-def test_batch_report_formats():
-    cells = _cells(("lua", "fibo", "baseline"))
-    _records, report = batch.run_batch(cells)
-    text = batch.format_report(report)
-    assert "1 cell(s)" in text
-    assert "lua" in text and "baseline" in text
+def test_batch_cells_isolated_despite_shared_tables(monkeypatch):
+    """The same cell twice in one process — with another cell of its
+    pair between them, and against a run on cold tables — must agree
+    bit for bit: per-run state never leaks through the shared
+    block/trace tables."""
+    cell = ("lua", "fibo", "baseline")
+    first = _run(cell)
+    _run(("lua", "n-sieve", "baseline"))
+    again = _run(cell)
+    _cold_assembly_counts(monkeypatch)
+    cold = _run(cell)
+    for record in (again, cold):
+        assert record.output == first.output
+        assert record.counters.as_dict() == first.counters.as_dict()

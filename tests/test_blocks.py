@@ -251,7 +251,7 @@ def test_differential_benchmark_matrix(engine, workload, config):
             mode
 
 
-def test_blocks_do_not_perturb_attribution_runs(monkeypatch):
+def test_blocks_do_not_perturb_attribution_runs():
     """An attributed run (which the block engine must refuse) still
     matches an attribution-free blocks run counter for counter."""
     attributed = run_benchmark("lua", "fibo", "typed", scale=8,
@@ -261,10 +261,3 @@ def test_blocks_do_not_perturb_attribution_runs(monkeypatch):
     assert attributed.output == plain.output
     assert attributed.counters.cycles == plain.counters.cycles
     assert attributed.counters.instructions == plain.counters.instructions
-    # Run again, the cell reuses the assembled interpreter (assembling
-    # would call None) and its warm tables, and matches bit for bit.
-    monkeypatch.setattr(lua_vm, "assemble", None)
-    again = run_benchmark("lua", "fibo", "typed", scale=8,
-                          use_cache=False, attribute=False)
-    assert again.output == plain.output
-    assert again.counters.as_dict() == plain.counters.as_dict()
