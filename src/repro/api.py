@@ -103,8 +103,6 @@ class ExecutionRequest:
     machine_config: object = None
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     attribute: bool = True
-    use_blocks: bool = True
-    use_traces: bool = True
     use_cache: bool = True
     engines: tuple = None       # sweep
     benchmarks: tuple = None    # sweep
@@ -234,7 +232,7 @@ def _vm(engine):
 
 def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
                 max_instructions=DEFAULT_MAX_INSTRUCTIONS, attribute=True,
-                telemetry=None, use_blocks=True, use_traces=True):
+                telemetry=None):
     """Compile and execute ``source`` on the simulated machine — the
     one implementation behind ``run_lua``, ``run_js``,
     ``run_benchmark`` and the served ``run`` op."""
@@ -248,8 +246,7 @@ def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
         from repro.telemetry import attach_cpu
         attach_cpu(telemetry, cpu)
     machine = Machine(cpu, config=machine_config, attribution=attribution,
-                      telemetry=telemetry, use_blocks=use_blocks,
-                      use_traces=use_traces)
+                      telemetry=telemetry)
     counters = machine.run(max_instructions=max_instructions)
     elapsed = time.perf_counter() - started
     if telemetry is not None:
@@ -262,24 +259,46 @@ def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
         simulated_mips=mips)
 
 
-def _execute_bench(request, telemetry=None):
-    from repro.bench import runner
-
-    scale = runner.resolve_scale(request.benchmark, request.scale)
-    cached = request.use_cache and telemetry is None and \
-        runner.cached_record(request.engine, request.benchmark,
-                             request.config, scale) is not None
-    record = runner.run_benchmark(
-        request.engine, request.benchmark, request.config, scale=scale,
-        use_cache=request.use_cache, telemetry=telemetry,
-        use_blocks=request.use_blocks, use_traces=request.use_traces,
-        attribute=request.attribute)
+def _bench_result(request, record, cached=False):
     return ExecutionResult(
         op="bench", engine=request.engine, benchmark=request.benchmark,
         config=request.config, scale=record.scale, output=record.output,
         counters=record.counters, cached=cached,
         wall_seconds=record.wall_seconds,
         simulated_mips=record.simulated_mips)
+
+
+def cached_bench(request):
+    """The cached :class:`ExecutionResult` for a ``bench`` request, or
+    ``None`` — the one cache probe of :func:`execute`, the shards and the
+    router.  Only ``use_cache`` *and* ``attribute`` requests hit: an
+    attribution-free cell is always simulated afresh (``run_benchmark``)."""
+    if not (request.op == "bench" and request.use_cache
+            and request.attribute):
+        return None
+    from repro.bench import runner
+    try:
+        scale = runner.resolve_scale(request.benchmark, request.scale)
+    except KeyError:
+        return None  # let execution raise the real error
+    record = runner.cached_record(request.engine, request.benchmark,
+                                  request.config, scale)
+    if record is None:
+        return None
+    return _bench_result(request, record, cached=True)
+
+
+def _execute_bench(request, telemetry=None):
+    from repro.bench import runner
+
+    cached = cached_bench(request) if telemetry is None else None
+    if cached is not None:
+        return cached
+    record = runner.run_benchmark(
+        request.engine, request.benchmark, request.config,
+        scale=request.scale, use_cache=request.use_cache,
+        telemetry=telemetry, attribute=request.attribute)
+    return _bench_result(request, record)
 
 
 def _execute_sweep(request, progress=None):
@@ -322,8 +341,7 @@ def execute(request, *, telemetry=None, progress=None):
             request.engine, request.source, config=request.config,
             machine_config=request.machine_config,
             max_instructions=request.max_instructions,
-            attribute=request.attribute, telemetry=telemetry,
-            use_blocks=request.use_blocks, use_traces=request.use_traces)
+            attribute=request.attribute, telemetry=telemetry)
     if request.op == "bench":
         return _execute_bench(request, telemetry=telemetry)
     return _execute_sweep(request, progress=progress)
@@ -350,8 +368,7 @@ def request_key(payload):
 
 def run(engine, source, *, config=BASELINE, scale=None,
         machine_config=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-        attribute=True, telemetry=None, use_blocks=True, use_traces=True,
-        use_cache=True):
+        attribute=True, telemetry=None, use_cache=True):
     """Run ``source`` on ``engine`` — the single documented entry point.
 
     ``source`` is Lua/JS program text; when it instead names a
@@ -362,9 +379,9 @@ def run(engine, source, *, config=BASELINE, scale=None,
 
     ``machine_config`` overrides the Table 6 machine parameters
     (:class:`~repro.uarch.config.MachineConfig`); ``telemetry``
-    attaches an event bus (:mod:`repro.telemetry`); ``use_blocks``
-    selects the basic-block superinstruction engine and ``use_traces``
-    the superblock trace engine stacked on it (counters are
+    attaches an event bus (:mod:`repro.telemetry`).  The simulator
+    picks its engine from what is attached: the trace engine, or the
+    reference loop under attribution or telemetry (counters are
     bit-identical whichever engine runs).
     """
     from repro.bench.workloads import WORKLOADS
@@ -372,14 +389,12 @@ def run(engine, source, *, config=BASELINE, scale=None,
     if source in WORKLOADS:
         request = ExecutionRequest(
             op="bench", engine=engine, benchmark=source, config=config,
-            scale=scale, attribute=attribute, use_blocks=use_blocks,
-            use_traces=use_traces, use_cache=use_cache)
+            scale=scale, attribute=attribute, use_cache=use_cache)
     else:
         request = ExecutionRequest(
             op="run", engine=engine, source=source, config=config,
             machine_config=machine_config,
             max_instructions=max_instructions, attribute=attribute,
-            use_blocks=use_blocks, use_traces=use_traces,
             use_cache=use_cache)
     return execute(request, telemetry=telemetry)
 

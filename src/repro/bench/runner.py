@@ -83,8 +83,7 @@ def publish(record, disk=None):
 
 
 def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
-                  telemetry=None, use_blocks=True, use_traces=True,
-                  attribute=True):
+                  telemetry=None, attribute=True):
     """Run one benchmark on one engine/config; returns a RunRecord.
 
     ``use_cache=False`` bypasses (and leaves untouched) both the
@@ -93,13 +92,10 @@ def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
     always simulated fresh (the bus must observe the actual run) and
     its summary is carried in ``record.telemetry`` through the caches.
 
-    ``use_blocks`` enables the basic-block superinstruction engine
-    (see :mod:`repro.sim.blocks`); counters are bit-identical either
-    way, so cached records are shared across the setting.
     ``attribute=False`` skips per-bytecode attribution — the fastest
-    way to run a cell, used by ``tools/perfbench.py`` — and forces the
-    cell to bypass the caches, since attribution-free counters would
-    starve the figure pipeline if they were ever served from cache.
+    way to run a cell, on the trace engine — and forces the cell to
+    bypass the caches, since attribution-free counters would starve the
+    figure pipeline if they were ever served from cache.
     """
     from repro import api
 
@@ -113,8 +109,7 @@ def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
             return record
     source = getattr(spec, _SOURCE_ATTRS[engine])(scale)
     result = api._engine_run(engine, source, config=config,
-                             telemetry=telemetry, use_blocks=use_blocks,
-                             use_traces=use_traces, attribute=attribute)
+                             telemetry=telemetry, attribute=attribute)
     record = RunRecord(engine=engine, benchmark=benchmark, config=config,
                        scale=scale, output=result.output,
                        counters=result.counters,

@@ -112,8 +112,6 @@ def _cmd_run(args):
     else:
         record = run_benchmark(args.engine, args.benchmark, args.config,
                                scale=args.scale,
-                               use_blocks=not args.no_blocks,
-                               use_traces=not args.no_traces,
                                attribute=not args.no_attribution,
                                use_cache=not args.fresh)
         output = record.output
@@ -1342,17 +1340,9 @@ def build_parser():
     run_parser.add_argument("--model", choices=("fast", "scoreboard"),
                             default="fast",
                             help="timing model (see docs/SIMULATOR.md)")
-    run_parser.add_argument("--no-blocks", action="store_true",
-                            help="disable the basic-block "
-                                 "superinstruction engine (counters are "
-                                 "identical; simulation is slower)")
-    run_parser.add_argument("--no-traces", action="store_true",
-                            help="disable the superblock trace engine "
-                                 "(counters are identical; simulation "
-                                 "is slower)")
     run_parser.add_argument("--no-attribution", action="store_true",
                             help="skip per-bytecode attribution: "
-                                 "fastest simulation (block engine), "
+                                 "fastest simulation (trace engine), "
                                  "never cached")
     run_parser.add_argument("--fresh", action="store_true",
                             help="bypass the result caches for this run")

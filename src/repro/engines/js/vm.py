@@ -120,16 +120,13 @@ def prepare(source, config=BASELINE):
 
 
 def run_js(source, *, config=BASELINE, machine_config=None,
-           max_instructions=None, attribute=True, telemetry=None,
-           use_blocks=True, use_traces=True):
+           max_instructions=None, attribute=True, telemetry=None):
     """Compile and execute MiniJS ``source`` on the simulated machine.
 
     Thin adapter over :func:`repro.api.run` with the same unified
     keyword-only signature as ``run_lua``.  ``telemetry`` optionally
     attaches an event bus (see :mod:`repro.telemetry`) to the CPU and
-    timing model.  ``use_blocks`` enables the basic-block
-    superinstruction engine (only effective without
-    attribution/telemetry; counters are identical either way).
+    timing model.
     """
     from repro import api
     result = api._engine_run(
@@ -137,7 +134,6 @@ def run_js(source, *, config=BASELINE, machine_config=None,
         max_instructions=(api.DEFAULT_MAX_INSTRUCTIONS
                           if max_instructions is None
                           else max_instructions),
-        attribute=attribute, telemetry=telemetry,
-        use_blocks=use_blocks, use_traces=use_traces)
+        attribute=attribute, telemetry=telemetry)
     return JsResult(output=result.output, counters=result.counters,
                     config=result.config, exit_code=result.exit_code)

@@ -125,8 +125,7 @@ def prepare(source, config=BASELINE):
 
 
 def run_lua(source, *, config=BASELINE, machine_config=None,
-            max_instructions=None, attribute=True, telemetry=None,
-            use_blocks=True, use_traces=True):
+            max_instructions=None, attribute=True, telemetry=None):
     """Compile and execute MiniLua ``source`` on the simulated machine.
 
     Thin adapter over :func:`repro.api.run` — the unified signature is
@@ -134,9 +133,7 @@ def run_lua(source, *, config=BASELINE, machine_config=None,
     build (any registered scheme: ``"baseline"``, ``"typed"``,
     ``"chklb"``, ``"elided"``, ...).  ``telemetry`` optionally attaches
     an event bus (see :mod:`repro.telemetry`) to the CPU and timing
-    model.  ``use_blocks`` enables the basic-block superinstruction
-    engine (only effective without attribution/telemetry; counters are
-    identical either way).
+    model.
     """
     from repro import api
     result = api._engine_run(
@@ -144,7 +141,6 @@ def run_lua(source, *, config=BASELINE, machine_config=None,
         max_instructions=(api.DEFAULT_MAX_INSTRUCTIONS
                           if max_instructions is None
                           else max_instructions),
-        attribute=attribute, telemetry=telemetry,
-        use_blocks=use_blocks, use_traces=use_traces)
+        attribute=attribute, telemetry=telemetry)
     return LuaResult(output=result.output, counters=result.counters,
                      config=result.config, exit_code=result.exit_code)

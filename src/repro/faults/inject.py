@@ -4,8 +4,8 @@ A :class:`FaultSession` attaches through
 :meth:`repro.sim.cpu.Cpu.attach_fault_hook`, which rebinds ``step`` on
 the instance — the same idiom the telemetry tracer uses.  The rebind
 has a deliberate side effect: :meth:`repro.uarch.pipeline.Machine.run`
-notices the shadowed ``step`` and deopts from the basic-block
-superinstruction engine to the per-instruction reference loop, so the
+notices the shadowed ``step`` and deopts from the superblock trace
+engine to the per-instruction reference loop, so the
 watchdog budget trips at the exact instruction and timing counters
 stay honest under injection.
 

@@ -25,11 +25,12 @@ History: versions 1-3 were the result cache's private lineage
 (1 initial, 2 telemetry + attribution counters, 3 wall-clock/MIPS
 metadata); version 4 unified the cache, the gate baseline, the faults
 report and the new ``repro.api`` request/response schema under this
-module.
+module; version 5 removed the two engine-selection request fields
+(the simulator picks its engine from what is attached).
 """
 
 #: The current version of every JSON payload the package emits.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Key under which the version is stored in payloads.
 VERSION_KEY = "version"

@@ -63,7 +63,11 @@ from repro.schema import SCHEMA_VERSION, SchemaError
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
-from repro.serve.server import cache_tier_stats, free_socket_path
+from repro.serve.server import (
+    cache_tier_stats,
+    free_socket_path,
+    start_front_end,
+)
 
 _LOG = logging.getLogger("repro.serve.router")
 
@@ -196,7 +200,7 @@ class Router:
                  health_interval=DEFAULT_HEALTH_INTERVAL,
                  fail_threshold=DEFAULT_FAIL_THRESHOLD,
                  busy_retries=DEFAULT_BUSY_RETRIES, backoff=0.25,
-                 probe_cache=True, forward_timeout=600.0,
+                 forward_timeout=600.0,
                  attempt_timeout=None, probe_timeout=None,
                  quorum=None, shed_priority=None,
                  max_forward_threads=32):
@@ -210,7 +214,6 @@ class Router:
         self.fail_threshold = fail_threshold
         self.busy_retries = busy_retries
         self.backoff = backoff
-        self.probe_cache = probe_cache
         self.forward_timeout = forward_timeout
         #: Per-shard-attempt socket timeout: a stalled (SIGSTOPped or
         #: black-holed) shard costs at most this long before the
@@ -335,29 +338,6 @@ class Router:
 
     # -- the shared cache tier ---------------------------------------------
 
-    def _probe_cache(self, request):
-        """Router-side probe of the shared content-addressed cache —
-        a ``bench`` cell computed by *any* shard is a hit here."""
-        if not self.probe_cache or request.op != "bench" \
-                or not request.use_cache:
-            return None
-        from repro.bench import runner
-        try:
-            scale = runner.resolve_scale(request.benchmark, request.scale)
-        except KeyError:
-            return None
-        record = runner.cached_record(request.engine, request.benchmark,
-                                      request.config, scale)
-        if record is None:
-            return None
-        return api.ExecutionResult(
-            op="bench", engine=request.engine,
-            benchmark=request.benchmark, config=request.config,
-            scale=record.scale, output=record.output,
-            counters=record.counters, cached=True,
-            wall_seconds=record.wall_seconds,
-            simulated_mips=record.simulated_mips)
-
     def cache_tier(self):
         """Coherence summary of the shared cache tier: the router and
         every shard must agree on (root, tree) for a hit anywhere to
@@ -433,7 +413,7 @@ class Router:
         if shed is not None:
             return shed
 
-        cached = self._probe_cache(request)
+        cached = api.cached_bench(request)
         if cached is not None:
             self.counters["router_cache_hits"] += 1
             return ("result", cached.as_dict())
@@ -583,19 +563,10 @@ class RouterServer:
         self._connections = set()
 
     async def start(self):
-        loop = asyncio.get_running_loop()
-        self.router.start(loop)
-        if self.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path,
-                limit=protocol.MAX_FRAME_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host or "127.0.0.1",
-                port=self.port or 0, limit=protocol.MAX_FRAME_BYTES)
-            self.bound_port = self._server.sockets[0].getsockname()[1]
+        self.router.start(asyncio.get_running_loop())
+        self._server, self.bound_port = await start_front_end(
+            self._handle_connection, self.socket_path, self.host,
+            self.port)
         return self
 
     def install_signal_handlers(self):
@@ -925,9 +896,9 @@ async def route(shards, *, socket_path=None, host=None, port=None,
     router.supervisor = supervisor
     server = RouterServer(router, socket_path=socket_path, host=host,
                           port=port)
-    await server.start()
-    if signals:
+    if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
+    await server.start()
     if ready is not None:
         ready(server)
     _LOG.info("routing on %s across %d shard(s): %s",

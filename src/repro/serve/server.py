@@ -8,10 +8,11 @@ Design (see docs/API.md for the wire protocol):
   :func:`repro.api.execute_payload`, exactly what an in-process call
   runs, so served counters are byte-identical to local ones.
 * **Cache first** — ``bench`` requests are probed against the
-  persistent result cache *in the parent*; a hit is answered without
-  touching (or even building) the worker pool.  Results computed by
-  workers are published back to the cache by the parent alone
-  (single-writer, like :mod:`repro.bench.parallel`).
+  persistent result cache *in the parent*, by the same
+  :func:`repro.api.cached_bench` an in-process call uses; a hit is
+  answered without touching (or even building) the worker pool.
+  Results computed by workers are published back to the cache by the
+  parent alone (single-writer, like :mod:`repro.bench.parallel`).
 * **Dedup + coalescing** — requests are keyed by
   :meth:`~repro.api.ExecutionRequest.key` (the work, not the
   scheduling metadata); an identical queued/running request is joined
@@ -34,11 +35,12 @@ import functools
 import logging
 import os
 import signal
+import socket
 import tempfile
 import threading
 import time
 
-from repro.api import ExecutionRequest, ExecutionResult
+from repro.api import ExecutionRequest, cached_bench
 from repro.schema import SCHEMA_VERSION, SchemaError
 from repro.serve import protocol
 from repro.serve.pool import WarmPool
@@ -78,6 +80,32 @@ def free_socket_path(prefix="typedarch-serve"):
     """
     directory = tempfile.mkdtemp(prefix=prefix + "-")
     return os.path.join(directory, "serve.sock")
+
+
+async def start_front_end(handler, socket_path=None, host=None,
+                          port=None):
+    """Start a front end's listener; returns ``(server, bound_port)``.
+
+    A unix socket listens under a short temporary name in the same
+    directory (paths are limited to ~107 bytes) before it is renamed to
+    ``socket_path``, so whoever sees the path can connect at once."""
+    if socket_path is None:
+        server = await asyncio.start_server(
+            handler, host=host or "127.0.0.1", port=port or 0,
+            limit=protocol.MAX_FRAME_BYTES)
+        return server, server.sockets[0].getsockname()[1]
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    temp = os.path.join(os.path.dirname(socket_path),
+                        ".%d-%x" % (os.getpid(), id(sock)))
+    try:
+        sock.bind(temp)
+    except OSError:
+        sock.close()
+        raise
+    server = await asyncio.start_unix_server(
+        handler, sock=sock, limit=protocol.MAX_FRAME_BYTES)
+    os.replace(temp, socket_path)
+    return server, None
 
 
 class _Job:
@@ -217,7 +245,7 @@ class ExecutionService:
             return None, (protocol.ERR_INVALID, str(err), {}), None
         self.stats_counters["submitted"] += 1
 
-        cached = self._probe_cache(request)
+        cached = cached_bench(request)
         if cached is not None:
             self.stats_counters["cache_hits"] += 1
             return None, None, cached
@@ -241,29 +269,6 @@ class ExecutionService:
         self._queued += 1
         self._queue.put_nowait((job.priority, self._seq, job))
         return job, None, None
-
-    def _probe_cache(self, request):
-        """Parent-side persistent-cache probe for ``bench`` requests;
-        returns a cached :class:`ExecutionResult` or ``None`` — never
-        touches the worker pool."""
-        if request.op != "bench" or not request.use_cache:
-            return None
-        from repro.bench import runner
-        try:
-            scale = runner.resolve_scale(request.benchmark, request.scale)
-        except KeyError:
-            return None  # let the worker raise the real error
-        record = runner.cached_record(request.engine, request.benchmark,
-                                      request.config, scale)
-        if record is None:
-            return None
-        return ExecutionResult(
-            op="bench", engine=request.engine,
-            benchmark=request.benchmark, config=request.config,
-            scale=record.scale, output=record.output,
-            counters=record.counters, cached=True,
-            wall_seconds=record.wall_seconds,
-            simulated_mips=record.simulated_mips)
 
     # -- execution ---------------------------------------------------------
 
@@ -315,7 +320,8 @@ class ExecutionService:
         deadline enforcement and hung-pool rebuild."""
         payload = dict(job.payload)
         publish = False
-        if job.request.op == "bench" and job.request.use_cache:
+        if job.request.op == "bench" and job.request.use_cache \
+                and job.request.attribute:
             # Workers never write the caches; the parent is the single
             # writer (mirrors repro.bench.parallel).
             payload["use_cache"] = False
@@ -503,20 +509,10 @@ class ExecutionServer:
         self._connections = set()
 
     async def start(self):
-        loop = asyncio.get_running_loop()
-        self.service.start(loop)
-        if self.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path,
-                limit=protocol.MAX_FRAME_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host or "127.0.0.1",
-                port=self.port or 0, limit=protocol.MAX_FRAME_BYTES)
-            self.bound_port = \
-                self._server.sockets[0].getsockname()[1]
+        self.service.start(asyncio.get_running_loop())
+        self._server, self.bound_port = await start_front_end(
+            self._handle_connection, self.socket_path, self.host,
+            self.port)
         return self
 
     def install_signal_handlers(self):
@@ -677,9 +673,9 @@ async def serve(service=None, *, socket_path=None, host=None, port=None,
     service = service or ExecutionService(**service_kwargs)
     server = ExecutionServer(service, socket_path=socket_path,
                              host=host, port=port)
-    await server.start()
-    if signals:
+    if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
+    await server.start()
     if ready is not None:
         ready(server)
     _LOG.info("serving on %s",

@@ -2,7 +2,8 @@
 
 Every guest instruction normally costs two Python-level dispatches: the
 handler lookup in :meth:`repro.sim.cpu.Cpu.step` and the per-instruction
-kind/cache/stall accounting in :meth:`repro.uarch.pipeline.Machine.run`.
+kind/cache/stall accounting in
+:meth:`repro.uarch.pipeline.Machine.run_reference`.
 This module amortises both the way the paper amortises per-operation
 type-check overhead in interpreters: straight-line work is fused so the
 dispatch is paid per *basic block*, not per instruction.
@@ -43,10 +44,12 @@ cycles are bit-identical with the per-instruction loop; the
 differential suite in ``tests/test_blocks.py`` enforces this across
 every benchmark cell.
 
-The per-instruction code generator itself lives in :class:`_Emitter`,
-shared with the superblock *trace* engine (:mod:`repro.sim.traces`),
-which emits the same code but chains hot blocks across taken branches
-into longer compilation units with guarded side exits.
+Blocks are the cold path of the superblock *trace* engine
+(:mod:`repro.sim.traces`): its dispatch loop runs them until a head
+turns hot and wherever a trace side-exits.  The per-instruction code
+generator itself lives in :class:`_Emitter`, which the trace engine
+also uses to chain hot blocks across taken branches into longer
+compilation units with guarded side exits.
 
 Compiled tables are cached per ``(program, machine-config)`` — the
 assembled interpreters are themselves cached per engine configuration,
@@ -185,7 +188,7 @@ class _Emitter:
         usual, then guarded against the assumed trace successor.
 
     The generated code mirrors the per-instruction timing loop of
-    :meth:`Machine._run_interpreted` statement for statement, and
+    :meth:`Machine.run_reference` statement for statement, and
     *inlines* the stateful helpers themselves — gshare/BTB/RAS
     training, the I- and D-cache MRU probes, the functional memory
     access and the TRT probe — instead of calling them.  The inlined
@@ -842,7 +845,7 @@ def _fallback_block(table, index):
     Used when :func:`_compile_block` fails: a plain Python closure that
     executes one instruction through ``Cpu.step`` and charges cycles
     with the exact statement order of
-    :meth:`repro.uarch.pipeline.Machine._run_interpreted`, so counters
+    :meth:`repro.uarch.pipeline.Machine.run_reference`, so counters
     stay bit-identical with both engines even for degraded entries.
     It never ``exec``-compiles anything, so it cannot itself fail.
     """

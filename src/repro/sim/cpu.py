@@ -188,7 +188,7 @@ class Cpu:
         The hook attaches by rebinding ``step`` on the instance, the
         same idiom telemetry uses: the unfaulted path stays untouched,
         and :meth:`repro.uarch.pipeline.Machine.run` sees the shadowed
-        ``step`` and deopts from the basic-block engine to the
+        ``step`` and deopts from the trace engine to the
         per-instruction reference loop, so timing counters and the
         watchdog stay honest under injection.
         """

@@ -29,10 +29,9 @@ paid once per trace instead:
   re-executed, control simply deopts to the per-block engine at the
   exit PC.
 
-Counter identity with both the block engine and the per-instruction
-reference loop is enforced by ``tests/test_traces.py``; traces never
-change *what* is simulated, only how many host-level dispatches it
-costs.
+Counter identity with the per-instruction reference loop is enforced
+by ``tests/test_traces.py``; traces never change *what* is simulated,
+only how many host-level dispatches it costs.
 
 Tables are cached per ``(program, machine-config)`` like block tables
 (the underlying :class:`~repro.sim.blocks.BlockTable` is shared with

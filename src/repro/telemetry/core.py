@@ -48,7 +48,7 @@ PROFILE_CATEGORIES = frozenset(CATEGORIES - {"retire"})
 #
 # Self-healing fallbacks (a basic block that failed to compile, a pool
 # worker quarantined to the serial path, a cache entry moved aside) fire
-# on paths where no Telemetry bus is attached — the block engine only
+# on paths where no Telemetry bus is attached — the trace engine only
 # runs when telemetry is *off*.  They report here instead: a bounded
 # process-wide ledger plus a one-line ``logging`` warning, so a degraded
 # run is never silent but also never crashes or grows without bound.

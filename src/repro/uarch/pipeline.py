@@ -72,15 +72,14 @@ class Machine:
     """A configured core: functional CPU plus timing state.
 
     ``telemetry`` optionally attaches a :class:`repro.telemetry.Telemetry`
-    bus: the timing loop installs its cycle counter as the bus clock and
-    emits bytecode-span, cache-miss and stall events.  Telemetry is
+    bus: the reference loop installs its cycle counter as the bus clock
+    and emits bytecode-span, cache-miss and stall events.  Telemetry is
     purely observational — counters and cycles are identical with it on
     or off — and the disabled path adds no per-instruction work (event
     guards live inside branches that are already rare).
     """
 
-    def __init__(self, cpu, config=None, attribution=None, telemetry=None,
-                 use_blocks=True, use_traces=True):
+    def __init__(self, cpu, config=None, attribution=None, telemetry=None):
         self.cpu = cpu
         self.config = config or DEFAULT_CONFIG
         self.icache = Cache(self.config.icache, name="icache")
@@ -90,81 +89,35 @@ class Machine:
         self.counters = Counters()
         self.attribution = attribution
         self.telemetry = telemetry
-        self.use_blocks = use_blocks
-        self.use_traces = use_traces
         self._kinds = [kind_of(i.mnemonic)
                        for i in cpu.program.instructions]
 
     def run(self, max_instructions=200_000_000):
         """Run to completion, accumulating cycles and counters.
 
-        Engine selection: the superblock trace engine
-        (:mod:`repro.sim.traces`) by default, the basic-block engine
-        (:mod:`repro.sim.blocks`) with ``use_traces=False``, and the
-        per-instruction reference loop whenever something needs
+        The engine follows from what is attached: the superblock trace
+        engine (:mod:`repro.sim.traces`) unless something needs
         per-instruction visibility — attribution, telemetry (machine-
         or cpu-level, including a ``trt.lookup`` rebound on the
-        instance, which the compiled units inline), tracers that
-        rebind ``cpu.step`` — or with ``use_blocks=False``.  All
-        engines produce bit-identical counters and cycles.
+        instance, which the compiled units inline) or a tracer that
+        rebinds ``cpu.step`` — in which case :meth:`run_reference`
+        runs.  Both produce bit-identical counters and cycles.
         """
-        if (self.use_blocks and self.attribution is None
+        if (self.attribution is None
                 and self.telemetry is None
                 and self.cpu.telemetry is None
                 and "step" not in self.cpu.__dict__
                 and "lookup" not in self.cpu.trt.__dict__):
-            if self.use_traces:
-                return self._run_traces(max_instructions)
-            return self._run_blocks(max_instructions)
-        return self._run_interpreted(max_instructions)
-
-    def _run_blocks(self, max_instructions):
-        """Block-at-a-time dispatch loop (see :mod:`repro.sim.blocks`)."""
-        from repro.sim.blocks import block_table
-
-        cpu = self.cpu
-        table = block_table(cpu.program, self.config)
-        blocks = table.blocks
-        base = table.base
-        icache = self.icache
-        ic = icache.access
-        dc = self.dcache.access
-        dr = self.dram.access
-        frontend = self.frontend
-        counters = self.counters
-        cycles = 0
-        prev = -1
-
-        while not cpu.halted:
-            index = (cpu.pc - base) >> 2
-            if 0 <= index < len(blocks):
-                entry = blocks[index]
-                if entry is None:
-                    entry = table.block_at(index)
-            else:
-                raise IllegalInstruction(
-                    "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
-            if cpu.instret + entry[1] > max_instructions:
-                # Close to the budget: fall back to single-instruction
-                # blocks so the limit trips at the exact instruction.
-                entry = table.single_at(index)
-            c, prev = entry[0](cpu, prev, ic, dc, dr, frontend,
-                               counters, icache)
-            cycles += c
-            if cpu.instret >= max_instructions:
-                raise ExecutionLimitExceeded(
-                    "exceeded %d instructions at PC 0x%x"
-                    % (max_instructions, cpu.pc), pc=cpu.pc)
-
-        return self._finalize(cycles)
+            return self._run_traces(max_instructions)
+        return self.run_reference(max_instructions)
 
     def _run_traces(self, max_instructions):
         """Trace-at-a-time dispatch loop (see :mod:`repro.sim.traces`).
 
-        Identical to :meth:`_run_blocks` except that each dispatch also
-        bumps the per-entry profile counter, and a counter hitting
-        :data:`~repro.sim.traces.TRACE_THRESHOLD` triggers path
-        recording — which executes per block while recording, so it is
+        Each dispatch runs the compiled unit at the PC (a trace, or the
+        plain block before its head turns hot) and bumps its profile
+        counter; at :data:`~repro.sim.traces.TRACE_THRESHOLD` the head's
+        path is recorded — executing per block while recording, so it is
         accounted exactly like any other unit call.
         """
         from repro.sim.traces import (
@@ -235,9 +188,11 @@ class Machine:
 
         return self._finalize(cycles)
 
-    def _run_interpreted(self, max_instructions):
-        """Reference per-instruction loop (always used with attribution
-        or telemetry attached)."""
+    def run_reference(self, max_instructions=200_000_000):
+        """The reference per-instruction loop: the timing model's spec,
+        which :meth:`run` selects whenever attribution or telemetry is
+        attached, and which tests and ``tools/perfbench.py`` compare
+        the trace engine against."""
         cpu = self.cpu
         config = self.config
         latency = config.latency

@@ -59,6 +59,18 @@ def test_run_dispatches_benchmark_names():
     assert warm.counters.as_dict() == cold.counters.as_dict()
 
 
+def test_unattributed_bench_is_never_answered_from_cache():
+    """``attribute=False`` always simulates afresh, so the result must
+    neither claim to be cached nor carry the cached attributed
+    record's per-bytecode counts."""
+    seeded = run("lua", "fibo", scale=6, config="typed")
+    assert seeded.counters.bytecode_counts
+    fresh = run("lua", "fibo", scale=6, config="typed", attribute=False)
+    assert not fresh.cached
+    assert not fresh.counters.bytecode_counts
+    assert fresh.counters.cycles == seeded.counters.cycles
+
+
 def test_run_rejects_unknown_engine():
     with pytest.raises(SchemaError):
         run("forth", "print(1)")

@@ -1,8 +1,9 @@
-"""The basic-block superinstruction engine (:mod:`repro.sim.blocks`).
+"""The basic-block superinstruction engine (:mod:`repro.sim.blocks`),
+the trace engine's cold path, and engine selection.
 
-The engine's contract is strict: counters, cycles and architectural
-state must be bit-identical to the reference per-instruction loop for
-every program, and the engine must silently stand aside whenever
+The contract is strict: counters, cycles and architectural state must
+be bit-identical to the reference per-instruction loop for every
+program, and the compiled engine must silently stand aside whenever
 something needs per-instruction visibility.  The differential tests
 here enforce the contract over the full benchmark matrix (at reduced
 input scales); block-shape unit tests pin the discovery rules.
@@ -11,8 +12,9 @@ input scales); block-shape unit tests pin the discovery rules.
 import pytest
 
 from repro.bench.runner import ENGINES, run_benchmark
-from repro.bench.workloads import BENCHMARK_ORDER
+from repro.bench.workloads import BENCHMARK_ORDER, WORKLOADS
 from repro.engines import CONFIGS
+from repro.engines.js import vm as js_vm
 from repro.engines.lua import vm as lua_vm
 from repro.isa.assembler import assemble
 from repro.sim.blocks import MAX_BLOCK_LEN, block_table
@@ -92,37 +94,30 @@ loop:
 
 def test_blocks_used_by_default(monkeypatch):
     _cpu, machine = _machine(_LOOP)
-    monkeypatch.setattr(Machine, "_run_interpreted", _boom)
-    machine.run(max_instructions=1_000)
-
-
-def test_use_blocks_false_falls_back(monkeypatch):
-    _cpu, machine = _machine(_LOOP, use_blocks=False)
-    monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    monkeypatch.setattr(Machine, "run_reference", _boom)
     machine.run(max_instructions=1_000)
 
 
 def test_attribution_forces_interpreter(monkeypatch):
     attribution = lua_vm.interpreter_program("baseline")[1]
     _cpu, machine = _machine(_LOOP, attribution=attribution)
-    monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
     machine.run(max_instructions=1_000)
 
 
 def test_cpu_step_shadow_forces_interpreter(monkeypatch):
     cpu, machine = _machine(_LOOP)
     cpu.step = cpu.step  # an instance shadow, as tracers install
-    monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
     machine.run(max_instructions=1_000)
 
 
 def test_rebound_trt_lookup_forces_interpreter(monkeypatch):
-    """Blocks inline the TRT probe, so an instance-rebound
-    ``trt.lookup`` (telemetry) selects the reference loop even with
-    traces off."""
-    cpu, machine = _machine(_LOOP, use_traces=False)
+    """Blocks and traces inline the TRT probe, so an instance-rebound
+    ``trt.lookup`` (telemetry) selects the reference loop."""
+    cpu, machine = _machine(_LOOP)
     cpu.trt.lookup = cpu.trt.lookup  # instance shadow, telemetry-style
-    monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
     machine.run(max_instructions=1_000)
 
 
@@ -155,8 +150,8 @@ def _boom(*_args, **_kwargs):
 # -- differential: simple programs ----------------------------------------------
 
 def _run_both(text, max_instructions=1_000_000):
-    cpu_ref, machine_ref = _machine(text, use_blocks=False)
-    ref = machine_ref.run(max_instructions=max_instructions)
+    cpu_ref, machine_ref = _machine(text)
+    ref = machine_ref.run_reference(max_instructions=max_instructions)
     cpu_blk, machine_blk = _machine(text)
     blk = machine_blk.run(max_instructions=max_instructions)
     return (cpu_ref, ref), (cpu_blk, blk)
@@ -171,9 +166,9 @@ def test_differential_loop_program():
 
 def test_execution_limit_trips_identically():
     spin = "spin:\naddi a0, a0, 1\njal zero, spin"
-    cpu_ref, machine_ref = _machine(spin, use_blocks=False)
+    cpu_ref, machine_ref = _machine(spin)
     with pytest.raises(ExecutionLimitExceeded):
-        machine_ref.run(max_instructions=777)
+        machine_ref.run_reference(max_instructions=777)
     cpu_blk, machine_blk = _machine(spin)
     with pytest.raises(ExecutionLimitExceeded):
         machine_blk.run(max_instructions=777)
@@ -183,10 +178,10 @@ def test_execution_limit_trips_identically():
 
 
 def test_thdl_deopt_differential():
-    """The path selector mutates hot-site stats mid-run; the block
+    """The path selector mutates hot-site stats mid-run; the compiled
     engine must replicate its redirects and counter effects exactly."""
     outputs, counters, cpus = [], [], []
-    for use_blocks in (False, True):
+    for run in (Machine.run_reference, Machine.run):
         cpu, runtime, _program = lua_vm.prepare(
             "local s = 0\n"
             "local t = {}\n"
@@ -196,8 +191,7 @@ def test_thdl_deopt_differential():
             "for i = 1, 59 do s = s + (t[i] + t[i + 1]) end\n"
             "print(s)\n", config="typed")
         cpu.deopt_threshold = 0.5
-        machine = Machine(cpu, use_blocks=use_blocks)
-        counters.append(machine.run(max_instructions=20_000_000))
+        counters.append(run(Machine(cpu), max_instructions=20_000_000))
         outputs.append("".join(runtime.output))
         cpus.append(cpu)
     assert outputs[0] == outputs[1]
@@ -236,24 +230,23 @@ _CELLS = [(engine, benchmark, config)
 @pytest.mark.parametrize(("engine", "workload", "config"), _CELLS,
                          ids=["%s-%s-%s" % cell for cell in _CELLS])
 def test_differential_benchmark_matrix(engine, workload, config):
-    """The reference loop, the block engine and the trace engine agree
-    on output and every counter."""
-    def run(**mode):
-        return run_benchmark(engine, workload, config,
-                             scale=_SCALES[workload],
-                             use_cache=False, attribute=False, **mode)
-
-    reference = run(use_blocks=False)
-    for mode in ({"use_traces": False}, {"use_traces": True}):
-        record = run(**mode)
-        assert record.output == reference.output, mode
-        assert record.counters.as_dict() == reference.counters.as_dict(), \
-            mode
+    """The reference loop and the trace engine agree on output and
+    every counter."""
+    vm = lua_vm if engine == "lua" else js_vm
+    source = getattr(WORKLOADS[workload],
+                     "%s_source" % engine)(_SCALES[workload])
+    cpu, runtime, _program = vm.prepare(source, config)
+    reference = Machine(cpu).run_reference()
+    record = run_benchmark(engine, workload, config,
+                           scale=_SCALES[workload], use_cache=False,
+                           attribute=False)
+    assert record.output == "".join(runtime.output)
+    assert record.counters.as_dict() == reference.as_dict()
 
 
 def test_blocks_do_not_perturb_attribution_runs():
-    """An attributed run (which the block engine must refuse) still
-    matches an attribution-free blocks run counter for counter."""
+    """An attributed run (which the compiled engine must refuse) still
+    matches an attribution-free trace-engine run counter for counter."""
     attributed = run_benchmark("lua", "fibo", "typed", scale=8,
                                use_cache=False)
     plain = run_benchmark("lua", "fibo", "typed", scale=8,

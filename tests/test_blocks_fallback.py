@@ -39,11 +39,11 @@ def _boom(*_args, **_kwargs):
 
 
 def test_compile_failure_degrades_to_interpreted_step(monkeypatch):
-    cpu_ref, machine_ref = _machine(PROGRAM, use_blocks=False)
-    ref = machine_ref.run(max_instructions=10_000)
+    cpu_ref, machine_ref = _machine(PROGRAM)
+    ref = machine_ref.run_reference(max_instructions=10_000)
 
     monkeypatch.setattr(blocks, "_compile_block", _boom)
-    cpu_deg, machine_deg = _machine(PROGRAM, use_blocks=True)
+    cpu_deg, machine_deg = _machine(PROGRAM)
     deg = machine_deg.run(max_instructions=10_000)
 
     # Bit-identical counters and architectural state despite every
@@ -55,7 +55,7 @@ def test_compile_failure_degrades_to_interpreted_step(monkeypatch):
 
 def test_compile_failure_recorded_on_ledger(monkeypatch):
     monkeypatch.setattr(blocks, "_compile_block", _boom)
-    _cpu, machine = _machine(PROGRAM, use_blocks=True)
+    _cpu, machine = _machine(PROGRAM)
     machine.run(max_instructions=10_000)
 
     events = [e for e in degradations()
@@ -105,7 +105,7 @@ def test_degraded_single_at_keeps_budget_exact(monkeypatch):
     from repro.sim.errors import ExecutionLimitExceeded
 
     monkeypatch.setattr(blocks, "_compile_block", _boom)
-    cpu, machine = _machine(PROGRAM, use_blocks=True)
+    cpu, machine = _machine(PROGRAM)
     with pytest.raises(ExecutionLimitExceeded):
         machine.run(max_instructions=7)
     assert cpu.instret == 7

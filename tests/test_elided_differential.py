@@ -20,9 +20,13 @@ from repro.analysis import quickening
 from repro.bench.workloads import workload
 from repro.engines.configs import BASELINE, ELIDED
 from repro.engines.js import run_js
+from repro.engines.js import vm as js_vm
 from repro.engines.lua import run_lua
+from repro.engines.lua import vm as lua_vm
+from repro.uarch.pipeline import Machine
 
 _RUN = {"lua": run_lua, "js": run_js}
+_VM = {"lua": lua_vm, "js": js_vm}
 _BY_NAME = {"lua": quickening.LUA_BY_NAME, "js": quickening.JS_BY_NAME}
 
 
@@ -182,16 +186,8 @@ def test_elision_actually_fires(engine, bench, scale):
 def test_elided_blocks_and_traces_bit_identical(engine):
     source_attr = "lua_source" if engine == "lua" else "js_source"
     source = getattr(workload("fibo"), source_attr)(8)
-    run = _RUN[engine]
-    reference = run(source, config=ELIDED, attribute=False,
-                    use_blocks=False, use_traces=False)
-    blocks = run(source, config=ELIDED, attribute=False,
-                 use_blocks=True, use_traces=False)
-    traces = run(source, config=ELIDED, attribute=False,
-                 use_blocks=True, use_traces=True)
-    for other in (blocks, traces):
-        assert other.output == reference.output
-        assert (other.counters.core_instructions
-                == reference.counters.core_instructions)
-        assert (other.counters.host_instructions
-                == reference.counters.host_instructions)
+    cpu, runtime, _program = _VM[engine].prepare(source, ELIDED)
+    reference = Machine(cpu).run_reference()
+    traces = _RUN[engine](source, config=ELIDED, attribute=False)
+    assert traces.output == "".join(runtime.output)
+    assert traces.counters.as_dict() == reference.as_dict()

@@ -101,9 +101,9 @@ def test_campaign_report_identical_with_compiled_engines_fenced(
         monkeypatch):
     """Every injected run must execute on the per-instruction loop
     (the fault hook's rebound ``step`` forces the deopt): with the
-    trace and block engines made to explode on entry, the campaign
-    still runs — and its report is byte-identical to the unfenced
-    one, so the engines were never what produced the numbers."""
+    trace engine made to explode on entry, the campaign still runs —
+    and its report is byte-identical to the unfenced one, so the
+    compiled engine was never what produced the numbers."""
     from repro.uarch.pipeline import Machine
 
     reference = run_campaign(max_workers=1, **TINY)
@@ -114,7 +114,6 @@ def test_campaign_report_identical_with_compiled_engines_fenced(
                              "fault-injection run")
 
     monkeypatch.setattr(Machine, "_run_traces", boom)
-    monkeypatch.setattr(Machine, "_run_blocks", boom)
     fenced = run_campaign(max_workers=1, **TINY)
     assert json.dumps(fenced, sort_keys=True) \
         == json.dumps(reference, sort_keys=True)

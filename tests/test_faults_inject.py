@@ -42,7 +42,7 @@ def test_hook_forces_interpreted_loop():
     cpu = make_cpu(COUNT_PROGRAM)
     FaultSession(cpu, []).attach()
     assert "step" in cpu.__dict__  # what Machine.run checks to deopt
-    machine = Machine(cpu, use_blocks=True)
+    machine = Machine(cpu)
     machine.run()
     assert cpu.regs.value[10] == 4
 
@@ -55,11 +55,11 @@ def test_hook_forces_trace_engine_deopt():
     from repro.uarch.pipeline import Machine
 
     reference = make_cpu(COUNT_PROGRAM)
-    ref_counters = Machine(reference, use_blocks=False).run()
+    ref_counters = Machine(reference).run_reference()
 
     cpu = make_cpu(COUNT_PROGRAM)
     FaultSession(cpu, []).attach()
-    counters = Machine(cpu, use_blocks=True, use_traces=True).run()
+    counters = Machine(cpu).run()
     assert cpu.regs.value[10] == reference.regs.value[10] == 4
     assert counters.as_dict() == ref_counters.as_dict()
 

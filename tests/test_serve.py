@@ -7,7 +7,9 @@ gateable; one test exercises a real forked worker pool.
 """
 
 import asyncio
+import dataclasses
 import json
+import os
 import socket
 import threading
 import time
@@ -20,7 +22,8 @@ from repro.bench.runner import clear_cache
 from repro.schema import SCHEMA_VERSION
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
-from repro.serve.server import ExecutionServer, ExecutionService
+from repro.serve.router import ShardSpec, route
+from repro.serve.server import ExecutionServer, ExecutionService, serve
 
 
 @pytest.fixture(autouse=True)
@@ -330,6 +333,24 @@ def test_bench_miss_executes_then_populates_cache(harness):
     assert cold.ok and not cold.cached
     assert warm.ok and warm.cached
     assert warm.counters.as_dict() == cold.counters.as_dict()
+
+
+def test_unattributed_bench_served_like_in_process(harness):
+    """A shard answers an ``attribute=False`` bench request with what an
+    in-process ``api.execute`` returns, not the cached attributed
+    record, and never caches its attribution-free result."""
+    api.run("lua", "fibo", scale=6, config="typed")
+    request = api.ExecutionRequest(op="bench", engine="lua",
+                                   benchmark="fibo", scale=6,
+                                   config="typed", attribute=False)
+    with harness.client() as client:
+        served = client.submit(request)
+        client.submit(dataclasses.replace(request, scale=5))
+        attributed = client.run("lua", "fibo", scale=5, config="typed")
+    assert not served.cached
+    assert served.counters.as_dict() \
+        == api.execute(request).counters.as_dict()
+    assert attributed.counters.bytecode_counts
 
 
 # -- graceful drain ----------------------------------------------------------
@@ -648,3 +669,40 @@ def test_two_concurrent_servers_bind_without_colliding(tmp_path):
             loop.call_soon_threadsafe(stop.set)
         for thread in threads:
             thread.join(30)
+
+
+@pytest.mark.parametrize("front_end", ("serve", "route"))
+def test_socket_path_appears_listening_with_drain_installed(
+        tmp_path, monkeypatch, front_end):
+    """Waiters treat an existing socket path as "ready" and may connect
+    or send SIGTERM at once, so the socket must already listen and the
+    drain handlers must already be installed when the path appears."""
+    path = str(tmp_path / "front.sock")
+    seen = []
+    real_listen = socket.socket.listen
+
+    def listen(sock, *args):
+        seen.append(("listen", os.path.exists(path)))
+        return real_listen(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", listen)
+
+    def add_signal_handler(signum, callback, *args):
+        seen.append(("signal", os.path.exists(path)))
+
+    def ready(server):
+        assert os.path.exists(path)
+        (server.service if front_end == "serve"
+         else server.router).begin_drain()
+
+    async def main():
+        asyncio.get_running_loop().add_signal_handler = add_signal_handler
+        if front_end == "serve":
+            await serve(socket_path=path, ready=ready, workers=0)
+        else:
+            await route([ShardSpec(socket_path=str(tmp_path / "x.sock"))],
+                        socket_path=path, ready=ready)
+
+    asyncio.run(main())
+    assert {kind for kind, _exists in seen} == {"listen", "signal"}
+    assert not any(exists for _kind, exists in seen), seen

@@ -81,7 +81,7 @@ def test_watchdog_exact_under_machine_with_hook():
     cpu = make_cpu(LOOP)
     FaultSession(cpu, [FaultSpec(target="reg_value", index=7,
                                  bits=(1,), reg=20)]).attach()
-    machine = Machine(cpu, use_blocks=True)  # hook forces deopt anyway
+    machine = Machine(cpu)  # the hook forces the reference loop
     with pytest.raises(ExecutionLimitExceeded) as excinfo:
         machine.run(max_instructions=333)
     assert cpu.instret == 333

@@ -95,7 +95,7 @@ def test_block_engine_matches_interpreter(text):
     counters, cycles and architectural state must be bit-identical to
     the per-instruction loop on arbitrary instruction mixes."""
     ref_cpu = Cpu(assemble(text), Memory(size=1 << 16))
-    ref = Machine(ref_cpu, use_blocks=False).run(max_instructions=100_000)
+    ref = Machine(ref_cpu).run_reference(max_instructions=100_000)
     blk_cpu = Cpu(assemble(text), Memory(size=1 << 16))
     blk = Machine(blk_cpu).run(max_instructions=100_000)
     assert blk.as_dict() == ref.as_dict()

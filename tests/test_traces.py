@@ -1,11 +1,10 @@
 """The superblock trace engine (:mod:`repro.sim.traces`).
 
-The contract mirrors the block engine's, one level up: counters,
-cycles and architectural state bit-identical to both the block engine
-and the reference per-instruction loop for every program — including
+The contract: counters, cycles and architectural state bit-identical
+to the reference per-instruction loop for every program — including
 mid-trace guard failures, budget exhaustion inside a trace, and the
 adaptive retire/re-record machinery.  A hypothesis differential
-drives all three engines over generated branchy loop programs.
+drives both engines over generated branchy loop programs.
 """
 
 import pytest
@@ -21,6 +20,7 @@ from repro.sim.traces import (
     TRACE_THRESHOLD,
     trace_table,
 )
+from repro.telemetry import Telemetry
 from repro.uarch.pipeline import DEFAULT_CONFIG, Machine
 
 
@@ -29,21 +29,18 @@ def _machine(text, **kwargs):
     return cpu, Machine(cpu, **kwargs)
 
 
-_ENGINE_MODES = (
-    {"use_blocks": False},                      # reference loop
-    {"use_blocks": True, "use_traces": False},  # basic blocks
-    {"use_blocks": True, "use_traces": True},   # superblock traces
-)
+#: The reference loop, then the engine ``Machine.run`` selects (traces).
+_ENGINES = (Machine.run_reference, Machine.run)
 
 
-def _run_three(text, max_instructions=1_000_000):
-    """Run ``text`` under all three engines; returns [(cpu, counters)]
+def _run_engines(text, max_instructions=1_000_000):
+    """Run ``text`` under both engines; returns [(cpu, counters)]
     (``counters`` is ``None`` when the budget tripped)."""
     outcomes = []
-    for mode in _ENGINE_MODES:
-        cpu, machine = _machine(text, **mode)
+    for run in _ENGINES:
+        cpu, machine = _machine(text)
         try:
-            counters = machine.run(max_instructions=max_instructions)
+            counters = run(machine, max_instructions=max_instructions)
         except ExecutionLimitExceeded:
             counters = None
         outcomes.append((cpu, counters))
@@ -108,7 +105,7 @@ def test_trace_tables_keyed_per_workload():
 
 
 def test_trace_counters_identical_on_hot_loop():
-    _assert_identical(_run_three(_HOT_LOOP))
+    _assert_identical(_run_engines(_HOT_LOOP))
 
 
 # -- guard failure / deopt -------------------------------------------------------
@@ -145,9 +142,9 @@ low:
 
 
 def test_guard_failure_deopt_mid_trace():
-    outcomes = _run_three(_PHASE_FLIP)
+    outcomes = _run_engines(_PHASE_FLIP)
     _assert_identical(outcomes)
-    cpu = outcomes[2][0]
+    cpu = outcomes[1][0]
     table = trace_table(cpu.program, DEFAULT_CONFIG)
     assert table.traces >= 1  # phase 1 actually compiled a trace
 
@@ -160,9 +157,9 @@ def test_phase_change_adapts_with_new_traces():
     # Flip after 50 of 400 iterations: plenty of phase-2 iterations
     # for the low path to reach the trace threshold.
     text = _PHASE_FLIP.replace("200", "350")
-    outcomes = _run_three(text)
+    outcomes = _run_engines(text)
     _assert_identical(outcomes)
-    cpu = outcomes[2][0]
+    cpu = outcomes[1][0]
     table = trace_table(cpu.program, DEFAULT_CONFIG)
     assert table.traces >= 2  # phase-1 trace plus a post-flip trace
 
@@ -231,36 +228,35 @@ def test_execution_limit_lands_inside_trace_span():
     spin = _HOT_LOOP.replace("400", "100000")
     for limit in (777, TRACE_THRESHOLD * 7 * 3 + 5):
         cpus = []
-        for mode in _ENGINE_MODES:
-            cpu, machine = _machine(spin, **mode)
+        for run in _ENGINES:
+            cpu, machine = _machine(spin)
             with pytest.raises(ExecutionLimitExceeded):
-                machine.run(max_instructions=limit)
+                run(machine, max_instructions=limit)
             cpus.append(cpu)
         assert {c.instret for c in cpus} == {limit}
         assert len({c.pc for c in cpus}) == 1
-        assert cpus[0].regs.value == cpus[1].regs.value \
-            == cpus[2].regs.value
+        assert cpus[0].regs.value == cpus[1].regs.value
         # The trace engine had really installed traces by then.
-        table = trace_table(cpus[2].program, DEFAULT_CONFIG)
+        table = trace_table(cpus[1].program, DEFAULT_CONFIG)
         assert table.traces >= 1
 
 
 # -- engine selection ------------------------------------------------------------
 
 def test_telemetry_rebound_trt_falls_back_to_reference(monkeypatch):
-    """Traces and blocks both inline the uninstrumented TRT probe, so a
-    CPU whose ``trt.lookup`` was rebound on the instance (telemetry)
-    must select the reference loop."""
+    """The compiled units inline the uninstrumented TRT probe and emit
+    no events, so any telemetry must select the reference loop: a
+    ``trt.lookup`` rebound on the instance, a bus attached to the
+    machine, or one attached to the CPU (rare-path events)."""
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
     cpu, machine = _machine(_HOT_LOOP)
     cpu.trt.lookup = cpu.trt.lookup  # instance shadow, telemetry-style
-    monkeypatch.setattr(Machine, "_run_traces", _boom)
-    monkeypatch.setattr(Machine, "_run_blocks", _boom)
     machine.run(max_instructions=100_000)
-
-
-def test_use_traces_false_selects_blocks(monkeypatch):
-    _cpu, machine = _machine(_HOT_LOOP, use_traces=False)
-    monkeypatch.setattr(Machine, "_run_traces", _boom)
+    _cpu, machine = _machine(_HOT_LOOP,
+                             telemetry=Telemetry(categories={"stall"}))
+    machine.run(max_instructions=100_000)
+    cpu, machine = _machine(_HOT_LOOP)
+    cpu.telemetry = Telemetry(categories={"trap"})
     machine.run(max_instructions=100_000)
 
 
@@ -312,4 +308,4 @@ def _loop_programs(draw):
                                                max_value=2_000)))
 def test_hypothesis_differential_three_engines(text, budget):
     _assert_identical(
-        _run_three(text, max_instructions=budget or 1_000_000))
+        _run_engines(text, max_instructions=budget or 1_000_000))

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Simulator-performance benchmark: reference loop vs block engine vs
-superblock trace engine.
+"""Simulator-performance benchmark: reference loop vs superblock trace
+engine.
 
 Runs the figure-5 sweep cells fresh (attribution off, caches bypassed)
-three times — per-instruction reference loop, basic-block
-superinstruction engine (``use_traces=False``), and the superblock
-trace engine — and reports host wall-clock, simulated MIPS and the
-per-cell speedups plus overall and per-config geometric means,
-verifying along the way that all three engines produced bit-identical
-counters and output.
+on both engines — the per-instruction reference loop
+(``Machine.run_reference``) and the superblock trace engine that
+``Machine.run`` selects — and reports host wall-clock, simulated MIPS
+and the per-cell speedups plus overall and per-config geometric means.
+Along the way it verifies that both engines produced bit-identical
+counters and output, and that the trace engine really ran.
 
 Writes ``BENCH_simperf.json`` (override with ``--out``), stamped with
 the package schema version and the ``simperf`` artifact kind
@@ -25,11 +25,11 @@ schema drift on the simulator.
 Usage:
     PYTHONPATH=src python tools/perfbench.py [--smoke] [--out PATH]
         [--configs A,B,..] [--compare PRIOR] [--min-speedup X]
-        [--min-trace-speedup X]
 
 Exit status is non-zero when any cell's counters differ between the
-engines, when a ``--min-*`` bound fails, or when ``--compare`` is
-given an unusable prior artifact.
+engines or its trace engine did not run cleanly, when the
+``--min-speedup`` bound fails, or when ``--compare`` is given an
+unusable prior artifact.
 """
 
 import argparse
@@ -42,20 +42,15 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import schema  # noqa: E402
-from repro.bench.runner import ENGINES, run_benchmark  # noqa: E402
-from repro.bench.workloads import BENCHMARK_ORDER  # noqa: E402
+from repro import api, schema  # noqa: E402
+from repro.bench.runner import ENGINES, resolve_scale  # noqa: E402
+from repro.bench.workloads import BENCHMARK_ORDER, workload  # noqa: E402
 from repro.engines import CONFIGS  # noqa: E402
+from repro.sim.traces import trace_table  # noqa: E402
+from repro.uarch.pipeline import Machine  # noqa: E402
 
 #: Artifact family for ``BENCH_simperf.json`` (see repro.schema).
 ARTIFACT_KIND = "simperf"
-
-#: The measured execution engines, in measurement order.
-ENGINE_MODES = (
-    ("legacy", {"use_blocks": False}),
-    ("blocks", {"use_blocks": True, "use_traces": False}),
-    ("traces", {"use_blocks": True, "use_traces": True}),
-)
 
 #: --smoke subset: small scales, both guest engines, a typed and a
 #: baseline config each — a pinned, explicit list so CI timing stays
@@ -94,56 +89,69 @@ MAX_WARM_RUNS = 3
 WARM_CONVERGED = 0.85
 
 
-def _measure_cell(engine, benchmark, config, scale):
-    """Warm then run one cell under every engine mode.
+def _run(engine, source, config, reference=False):
+    """One attribution-free run of ``source``; returns ``(machine,
+    output, seconds)``.  The reference column calls
+    ``Machine.run_reference``, the other ``Machine.run`` (which picks
+    the trace engine); both are timed over the span ``api._engine_run``
+    times, guest compile and interpreter set-up included."""
+    started = time.perf_counter()
+    cpu, runtime, _program = api._vm(engine).prepare(source, config)
+    machine = Machine(cpu)
+    (machine.run_reference if reference else machine.run)(
+        api.DEFAULT_MAX_INSTRUCTIONS)
+    return machine, "".join(runtime.output), time.perf_counter() - started
 
-    The warm passes (JIT-backed engines only — the reference loop
-    keeps no cross-run state) pay interpreter assembly and block/trace
+
+def _measure_cell(engine, benchmark, config, scale):
+    """Warm the trace engine, then run one cell on both engines.
+
+    The warm passes (the trace engine only — the reference loop keeps
+    no cross-run state) pay interpreter assembly and block/trace
     compilation up front, so the measured runs see peak state.  The
     trace engine warms until converged: profile-driven formation
     keeps adapting (retiring unprofitable traces, recording the paths
     hot in later workload phases) for a run or two before its table
     reaches a fixed point.
     """
-    runs = {}
-    run_benchmark(engine, benchmark, config, scale=scale,
-                  use_cache=False, attribute=False,
-                  **dict(ENGINE_MODES[1][1]))
+    scale = resolve_scale(benchmark, scale)
+    source = getattr(workload(benchmark), "%s_source" % engine)(scale)
     previous = None
     for _warm in range(MAX_WARM_RUNS):
-        record = run_benchmark(engine, benchmark, config, scale=scale,
-                               use_cache=False, attribute=False,
-                               **dict(ENGINE_MODES[2][1]))
-        if previous is not None and \
-                record.wall_seconds >= WARM_CONVERGED * previous:
+        seconds = _run(engine, source, config)[2]
+        if previous is not None and seconds >= WARM_CONVERGED * previous:
             break
-        previous = record.wall_seconds
-    for name, mode in ENGINE_MODES:
-        runs[name] = run_benchmark(engine, benchmark, config, scale=scale,
-                                   use_cache=False, attribute=False, **mode)
-    reference = runs["legacy"]
-    identical = all(
-        run.counters.as_dict() == reference.counters.as_dict()
-        and run.output == reference.output
-        for run in runs.values())
-    row = {
+        previous = seconds
+    reference, output, seconds = _run(engine, source, config, True)
+    traced, traced_output, traced_seconds = _run(engine, source, config)
+    instructions = reference.counters.instructions
+    # The trace engine ran the cell cleanly: its block table compiled
+    # blocks and neither table recorded a compile failure.
+    table = trace_table(traced.cpu.program, traced.config, source)
+    return {
         "engine": engine,
         "benchmark": benchmark,
         "config": config,
-        "scale": reference.scale,
-        "instructions": reference.counters.instructions,
-        "identical": identical,
+        "scale": scale,
+        "instructions": instructions,
+        "identical": (traced.counters.as_dict()
+                      == reference.counters.as_dict()
+                      and traced_output == output),
+        "traces_ran": (table.blocks.compiled >= 1
+                       and table.blocks.compile_failures == 0
+                       and table.trace_failures == 0),
+        "seconds_legacy": round(seconds, 4),
+        "seconds_traces": round(traced_seconds, 4),
+        "mips_legacy": round(instructions / seconds / 1e6, 3),
+        "mips_traces": round(instructions / traced_seconds / 1e6, 3),
+        "speedup_traces": _ratio(seconds, traced_seconds),
     }
-    for name, run in runs.items():
-        row["seconds_%s" % name] = round(run.wall_seconds, 4)
-        row["mips_%s" % name] = round(run.simulated_mips, 3)
-    row["speedup_blocks"] = _ratio(reference.wall_seconds,
-                                   runs["blocks"].wall_seconds)
-    row["speedup_traces"] = _ratio(reference.wall_seconds,
-                                   runs["traces"].wall_seconds)
-    row["speedup_traces_vs_blocks"] = _ratio(
-        runs["blocks"].wall_seconds, runs["traces"].wall_seconds)
-    return row
+
+
+def _verdict(row):
+    if not row["identical"]:
+        return "COUNTER MISMATCH"
+    return "ok" if row["traces_ran"] else "TRACE ENGINE DID NOT RUN"
 
 
 def measure(cells, echo=print):
@@ -151,13 +159,11 @@ def measure(cells, echo=print):
     for index, (engine, benchmark, config, scale) in enumerate(cells):
         row = _measure_cell(engine, benchmark, config, scale)
         results.append(row)
-        echo("[%3d/%d] %-3s %-15s %-12s  %6.2fs -> %6.2fs -> %6.2fs  "
-             "blocks %5.2fx traces %5.2fx (vs blocks %5.2fx)  %s"
+        echo("[%3d/%d] %-3s %-15s %-12s  %6.2fs -> %6.2fs  "
+             "traces %5.2fx  %s"
              % (index + 1, len(cells), engine, benchmark, config,
-                row["seconds_legacy"], row["seconds_blocks"],
-                row["seconds_traces"], row["speedup_blocks"],
-                row["speedup_traces"], row["speedup_traces_vs_blocks"],
-                "ok" if row["identical"] else "COUNTER MISMATCH"))
+                row["seconds_legacy"], row["seconds_traces"],
+                row["speedup_traces"], _verdict(row)))
     return results
 
 
@@ -172,37 +178,29 @@ def aggregate(results):
     summary = {
         "cells": len(results),
         "identical": all(cell["identical"] for cell in results),
+        "traces_ran": all(cell["traces_ran"] for cell in results),
         "total_instructions": sum(c["instructions"] for c in results),
+        "geomean_speedup_traces": round(
+            _geomean([c["speedup_traces"] for c in results]), 3),
     }
-    for metric in ("speedup_blocks", "speedup_traces",
-                   "speedup_traces_vs_blocks"):
-        summary["geomean_%s" % metric] = round(
-            _geomean([c[metric] for c in results]), 3)
-    for name, _mode in ENGINE_MODES:
+    # ``legacy`` is the reference loop; its geomean MIPS anchors the
+    # advisory host-throughput floor (repro.bench.gate.check_host_floor):
+    # gate sweeps run with attribution, i.e. at reference-loop speed.
+    for name in ("legacy", "traces"):
         seconds = sum(c["seconds_%s" % name] for c in results)
         summary["total_seconds_%s" % name] = round(seconds, 2)
         summary["mips_%s" % name] = round(
             summary["total_instructions"] / seconds / 1e6, 3) \
             if seconds else 0.0
-    summary["geomean_mips_traces"] = round(
-        _geomean([c["mips_traces"] for c in results]), 3)
-    # The reference-loop figure anchors the advisory host-throughput
-    # floor (repro.bench.gate.check_host_floor): gate sweeps run with
-    # attribution, i.e. at reference-loop speed.
-    summary["geomean_mips_legacy"] = round(
-        _geomean([c["mips_legacy"] for c in results]), 3)
+        summary["geomean_mips_%s" % name] = round(
+            _geomean([c["mips_%s" % name] for c in results]), 3)
     per_config = {}
     for config in sorted({c["config"] for c in results}):
         rows = [c for c in results if c["config"] == config]
         per_config[config] = {
             "cells": len(rows),
-            "geomean_speedup_blocks": round(
-                _geomean([c["speedup_blocks"] for c in rows]), 3),
             "geomean_speedup_traces": round(
                 _geomean([c["speedup_traces"] for c in rows]), 3),
-            "geomean_speedup_traces_vs_blocks": round(
-                _geomean([c["speedup_traces_vs_blocks"] for c in rows]),
-                3),
         }
     summary["per_config"] = per_config
     return summary
@@ -227,10 +225,8 @@ def compare_with(prior, summary, echo=print):
     base = prior.get("aggregate", {})
     echo("\ncomparison against prior artifact (mode=%s, %s cells):"
          % (prior.get("mode"), base.get("cells")))
-    for metric in ("geomean_speedup_blocks", "geomean_speedup_traces",
-                   "geomean_speedup_traces_vs_blocks",
-                   "geomean_mips_traces", "mips_traces", "mips_blocks",
-                   "mips_legacy"):
+    for metric in ("geomean_speedup_traces", "geomean_mips_traces",
+                   "mips_traces", "mips_legacy"):
         old = base.get(metric)
         new = summary.get(metric)
         if old is None or new is None:
@@ -242,7 +238,7 @@ def compare_with(prior, summary, echo=print):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="reference vs block vs trace simulator benchmark")
+        description="reference loop vs trace engine simulator benchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="pinned 6-cell subset for CI (seconds, "
                              "not minutes)")
@@ -257,11 +253,8 @@ def main(argv=None):
                              "stamped artifact (refused when the prior "
                              "is unstamped or version-mismatched)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the blocks-vs-legacy geomean "
-                             "is below this (e.g. 1.5)")
-    parser.add_argument("--min-trace-speedup", type=float, default=None,
-                        help="fail when the traces-vs-blocks geomean "
-                             "is below this (e.g. 1.8)")
+                        help="fail when the traces-vs-reference "
+                             "geomean is below this (e.g. 1.5)")
     args = parser.parse_args(argv)
 
     if args.configs:
@@ -283,7 +276,7 @@ def main(argv=None):
             return 2
 
     cells = SMOKE_CELLS if args.smoke else full_cells(selected)
-    print("perfbench: %d cells (%s mode), warm + 3-engine measure per "
+    print("perfbench: %d cells (%s mode), warm + 2-engine measure per "
           "cell..." % (len(cells), "smoke" if args.smoke else "full"))
     started = time.time()
     results = measure(cells)
@@ -303,39 +296,27 @@ def main(argv=None):
         handle.write("\n")
 
     print("\nwrote %s" % args.out)
-    print("geomean speedups: blocks %.2fx, traces %.2fx "
-          "(traces vs blocks %.2fx) | %.2f -> %.2f -> %.2f MIPS | "
+    print("geomean speedup: traces %.2fx | %.2f -> %.2f MIPS | "
           "counters %s"
-          % (summary["geomean_speedup_blocks"],
-             summary["geomean_speedup_traces"],
-             summary["geomean_speedup_traces_vs_blocks"],
-             summary["mips_legacy"], summary["mips_blocks"],
+          % (summary["geomean_speedup_traces"], summary["mips_legacy"],
              summary["mips_traces"],
              "identical" if summary["identical"] else "MISMATCH"))
     for config, stats in summary["per_config"].items():
-        print("  %-12s blocks %5.2fx  traces %5.2fx  vs blocks %5.2fx  "
-              "(%d cells)"
-              % (config, stats["geomean_speedup_blocks"],
-                 stats["geomean_speedup_traces"],
-                 stats["geomean_speedup_traces_vs_blocks"],
-                 stats["cells"]))
+        print("  %-12s traces %5.2fx  (%d cells)"
+              % (config, stats["geomean_speedup_traces"], stats["cells"]))
     if prior is not None:
         compare_with(prior, summary)
 
     if not summary["identical"]:
         print("perfbench: FAILED (counter mismatch)")
         return 1
-    if args.min_speedup is not None \
-            and summary["geomean_speedup_blocks"] < args.min_speedup:
-        print("perfbench: FAILED (blocks geomean %.2fx < %.2fx)"
-              % (summary["geomean_speedup_blocks"], args.min_speedup))
+    if not summary["traces_ran"]:
+        print("perfbench: FAILED (trace engine did not run cleanly)")
         return 1
-    if args.min_trace_speedup is not None \
-            and summary["geomean_speedup_traces_vs_blocks"] \
-            < args.min_trace_speedup:
-        print("perfbench: FAILED (traces-vs-blocks geomean %.2fx < "
-              "%.2fx)" % (summary["geomean_speedup_traces_vs_blocks"],
-                          args.min_trace_speedup))
+    if args.min_speedup is not None \
+            and summary["geomean_speedup_traces"] < args.min_speedup:
+        print("perfbench: FAILED (traces geomean %.2fx < %.2fx)"
+              % (summary["geomean_speedup_traces"], args.min_speedup))
         return 1
     print("perfbench: OK")
     return 0
