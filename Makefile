@@ -81,8 +81,9 @@ chaos-smoke:
 figures:
 	$(PYTHON) -m pytest -q benchmarks/
 
-# Host-side simulator performance: reference loop vs trace engine over
-# the figure-5 sweep; writes BENCH_simperf.json.
+# Host-side simulator performance: reference loop vs trace engine, and
+# attributed reference loop vs attributed blocks, over the figure-5
+# sweep; writes BENCH_simperf.json.
 perfbench:
 	$(PYTHON) tools/perfbench.py --out BENCH_simperf.json
 

@@ -380,9 +380,9 @@ def run(engine, source, *, config=BASELINE, scale=None,
     ``machine_config`` overrides the Table 6 machine parameters
     (:class:`~repro.uarch.config.MachineConfig`); ``telemetry``
     attaches an event bus (:mod:`repro.telemetry`).  The simulator
-    picks its engine from what is attached: the trace engine, or the
-    reference loop under attribution or telemetry (counters are
-    bit-identical whichever engine runs).
+    picks its engine from what is attached: the trace engine, the
+    block engine under attribution alone, or the reference loop under
+    telemetry (counters are bit-identical whichever engine runs).
     """
     from repro.bench.workloads import WORKLOADS
 

@@ -223,12 +223,13 @@ def check_host_floor(records, simperf_path="BENCH_simperf.json",
 
     Compares the sweep's observed host throughput (geomean simulated
     MIPS across ``records``) with ``geomean_mips_legacy`` from the
-    stamped ``BENCH_simperf.json`` — the reference-loop figure, since
-    gate sweeps run with attribution and therefore at reference-loop
-    speed.  Returns ``(ok, text, details)``; **advisory only** — the
-    caller prints the text (and may upload ``details``) but never
-    fails the gate on it.  An unreadable, unstamped or mismatched
-    artifact skips the check with ``ok=True``.
+    stamped ``BENCH_simperf.json`` — the reference-loop figure, the
+    slowest engine an attributed gate sweep can run on (it takes the
+    attributed block engine unless telemetry is attached).  Returns
+    ``(ok, text, details)``; **advisory only** — the caller prints the
+    text (and may upload ``details``) but never fails the gate on it.
+    An unreadable, unstamped or mismatched artifact skips the check
+    with ``ok=True``.
     """
     import math
 

@@ -28,6 +28,7 @@ rename makes even racing processes safe).
 import contextlib
 import logging
 import os
+import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -91,9 +92,19 @@ def matrix_cells(engines=ENGINES, benchmarks=BENCHMARK_ORDER,
 
 
 def _warm_worker(engines, configs):
-    """Pool initializer: assemble the interpreter text for every
-    (engine, config) this worker will run, so the one-time per-process
-    setup cost is paid up front instead of inside the first cell."""
+    """Pool initializer: undo the parent's signal handling, then
+    assemble the interpreter text for every (engine, config) this
+    worker will run, so the one-time per-process setup cost is paid up
+    front instead of inside the first cell.
+
+    A pool forked by a process whose asyncio loop handles SIGTERM (a
+    serving shard) inherits the loop's no-op Python handler and its
+    wakeup fd: a SIGTERM to the worker would not stop it but would run
+    the *parent's* handler instead.  SIGTERM gets its default action
+    back, so ``_kill_pool``'s ``terminate()`` stops a hung worker.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     for engine in engines:
         if engine == "lua":
             from repro.engines.lua import vm as engine_vm

@@ -19,7 +19,6 @@ at zero until real work arrives.
 import logging
 import multiprocessing
 import os
-import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -34,14 +33,11 @@ _PARENT_POLL_S = 0.5
 
 
 def _shard_worker_init(warm_engines, warm_configs):
-    """Worker initializer: undo the shard's signal handling, watch the
-    shard, warm the interpreters, then drop the disk cache the ``fork``
-    inherited from the parent.
+    """Worker initializer: watch the shard, warm the interpreters (which
+    also undoes the shard's signal handling, see ``_warm_worker``),
+    then drop the disk cache the ``fork`` inherited from the parent.
 
-    The fork copies the shard's asyncio handlers, which do nothing here
-    but poke the *shard's* loop through the inherited wakeup fd.
-    SIGTERM gets its default action back, so the pool's ``terminate()``
-    stops the worker; SIGINT keeps the no-op, so Ctrl-C leaves
+    SIGINT keeps the shard loop's no-op handler, so Ctrl-C leaves
     in-flight work to the draining shard.  A SIGKILLed shard cannot
     reap its pool, so a watchdog thread exits the worker after it.
 
@@ -52,8 +48,6 @@ def _shard_worker_init(warm_engines, warm_configs):
     root, worker-side writes would multiply the writers per cell from
     N to N x pool size for no benefit.
     """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.set_wakeup_fd(-1)
     threading.Thread(target=_exit_with_parent,
                      args=(multiprocessing.parent_process().pid,),
                      name="repro-serve-parent-watch", daemon=True).start()

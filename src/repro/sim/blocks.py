@@ -46,10 +46,13 @@ every benchmark cell.
 
 Blocks are the cold path of the superblock *trace* engine
 (:mod:`repro.sim.traces`): its dispatch loop runs them until a head
-turns hot and wherever a trace side-exits.  The per-instruction code
-generator itself lives in :class:`_Emitter`, which the trace engine
-also uses to chain hot blocks across taken branches into longer
-compilation units with guarded side exits.
+turns hot and wherever a trace side-exits.  They are also the units of
+the attributed dispatch loop
+(:meth:`repro.uarch.pipeline.Machine._run_blocks`), which charges
+per-bytecode attribution per call from :class:`AttributedUnits`.  The
+per-instruction code generator itself lives in :class:`_Emitter`,
+which the trace engine also uses to chain hot blocks across taken
+branches into longer compilation units with guarded side exits.
 
 Compiled tables are cached per ``(program, machine-config)`` — the
 assembled interpreters are themselves cached per engine configuration,
@@ -111,6 +114,7 @@ class BlockTable:
         self.extra = extra_cycles(config.latency)
         self.blocks = [None] * len(program.instructions)
         self._singles = {}
+        self._attributed = None
         self.compiled = 0
         self.compile_failures = 0
         # Full handler/instruction tuples shared by every generated
@@ -129,12 +133,19 @@ class BlockTable:
         """
         entry = self.blocks[index]
         if entry is None:
-            try:
-                entry = _compile_block(self, index, MAX_BLOCK_LEN)
-                self.compiled += 1
-            except Exception as err:  # noqa: BLE001 — degrade, don't die
-                entry = self._degrade(index, err)
+            entry = self.compile_at(index, MAX_BLOCK_LEN)
             self.blocks[index] = entry
+        return entry
+
+    def compile_at(self, index, max_len):
+        """Compile the block entered at ``index``, at most ``max_len``
+        instructions long, without caching it (a compile failure
+        degrades as in :meth:`block_at`)."""
+        try:
+            entry = _compile_block(self, index, max_len)
+            self.compiled += 1
+        except Exception as err:  # noqa: BLE001 — degrade, don't die
+            entry = self._degrade(index, err)
         return entry
 
     def single_at(self, index):
@@ -149,6 +160,18 @@ class BlockTable:
             self._singles[index] = entry
         return entry
 
+    def attributed(self, attribution):
+        """This table's :class:`AttributedUnits` for ``attribution``.
+
+        One attribution map is kept per table (an interpreter program
+        has one); a different map starts a fresh set of units.
+        """
+        units = self._attributed
+        if units is None or units.attribution is not attribution:
+            units = AttributedUnits(self, attribution)
+            self._attributed = units
+        return units
+
     def _degrade(self, index, err):
         """Record a compile failure and build the interpreted-step
         fallback entry for ``index``."""
@@ -162,6 +185,82 @@ class BlockTable:
             "error": "%s: %s" % (type(err).__name__, err),
         })
         return _fallback_block(self, index), 1
+
+
+class AttributedUnits:
+    """Block units with the static charges of one attribution map, for
+    the attributed dispatch loop
+    (:meth:`repro.uarch.pipeline.Machine._run_blocks`).
+
+    Attribution is static per instruction index, and a unit is
+    straight-line code that is left only after a prefix, so what one
+    call charges depends only on how many instructions it retired.
+    ``units[index]`` holds ``(fn, count, entry, summary)``, built on
+    first use:
+
+    * ``fn``/``count`` — the block entered at ``index``, cut just
+      before any handler entry past its head, so every entry heads a
+      unit and flat spans close between calls;
+    * ``entry`` — the handler entry id at ``index`` (``-1`` for none);
+    * ``summary[k]`` — the charges of a call that retired ``k``
+      instructions: ``(pairs, hits, miss)``, with the ``(bucket,
+      count)`` increments, the type hits among the first ``k - 1``
+      instructions (a tagged ALU or check that redirects leaves the
+      unit, so those all hit), and what instruction ``k - 1`` was:
+      ``1`` for a tagged ALU or check whose early exit is a type miss,
+      ``-1`` for one that ends the unit (``cpu.redirect`` tells), and
+      ``0`` for anything else.  ``chklw`` (timed as a plain load) and
+      ``thdl`` count as neither, as in the reference loop.
+    """
+
+    def __init__(self, table, attribution):
+        self.table = table
+        self.attribution = attribution
+        self.units = [None] * len(table.blocks)
+        self._singles = {}
+
+    def unit_at(self, index):
+        """The unit entered at ``index``, building it on first use."""
+        unit = self.units[index]
+        if unit is None:
+            table = self.table
+            fn, count = table.block_at(index)
+            entry_of = self.attribution.entry_of
+            for stop in range(index + 1, index + count):
+                if entry_of[stop] >= 0:
+                    fn, count = table.compile_at(index, stop - index)
+                    break
+            unit = self._unit(index, fn, count)
+            self.units[index] = unit
+        return unit
+
+    def single_at(self, index):
+        """The one-instruction unit at ``index`` (near the budget)."""
+        unit = self._singles.get(index)
+        if unit is None:
+            fn, count = self.table.single_at(index)
+            unit = self._unit(index, fn, count)
+            self._singles[index] = unit
+        return unit
+
+    def _unit(self, index, fn, count):
+        bucket_of = self.attribution.bucket_of
+        kinds = self.table.kinds
+        stop = index + count
+        summary = [None]
+        buckets = {}
+        hits = 0
+        for j in range(index, stop):
+            bucket = bucket_of[j]
+            if bucket >= 0:
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+            pairs = tuple(buckets.items())
+            if kinds[j] == K_TAGGED_ALU or kinds[j] == K_CHECK:
+                summary.append((pairs, hits, 1 if j + 1 < stop else -1))
+                hits += 1
+            else:
+                summary.append((pairs, hits, 0))
+        return fn, count, self.attribution.entry_of[index], summary
 
 
 _SIGN = 1 << 63

@@ -1,8 +1,15 @@
 """Flat little-endian byte-addressable memory.
 
-A single ``bytearray`` keeps accesses fast in pure Python; the sizes used
-by the benchmarks (a few megabytes) make sparse paging unnecessary.
+RAM is one private anonymous ``mmap``: it indexes and slices like a
+``bytearray`` (and as fast), but the host kernel hands out zeroed pages
+on first touch, so creating a 32 MiB guest costs no memset and only the
+pages a run touches become resident.  The mapping is ``MAP_PRIVATE``
+because the default (``MAP_SHARED``) would let a forked pool worker
+and its parent write the same guest RAM.  An ``mmap`` compares by
+identity: compare contents with ``bytes(memory.data)``.
 """
+
+import mmap
 
 from repro.sim.errors import MemoryError_
 
@@ -14,7 +21,8 @@ class Memory:
 
     def __init__(self, size=16 * 1024 * 1024):
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size,
+                              flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
     def _check(self, addr, width):
         if addr < 0 or addr + width > self.size:

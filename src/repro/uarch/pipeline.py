@@ -95,21 +95,136 @@ class Machine:
     def run(self, max_instructions=200_000_000):
         """Run to completion, accumulating cycles and counters.
 
-        The engine follows from what is attached: the superblock trace
-        engine (:mod:`repro.sim.traces`) unless something needs
-        per-instruction visibility — attribution, telemetry (machine-
-        or cpu-level, including a ``trt.lookup`` rebound on the
-        instance, which the compiled units inline) or a tracer that
-        rebinds ``cpu.step`` — in which case :meth:`run_reference`
-        runs.  Both produce bit-identical counters and cycles.
+        The engine follows from what is attached:
+
+        * nothing — the superblock trace engine
+          (:mod:`repro.sim.traces`, :meth:`_run_traces`);
+        * attribution only — the compiled blocks with attributed
+          dispatch (:meth:`_run_blocks`);
+        * telemetry (machine- or cpu-level, including a ``trt.lookup``
+          rebound on the instance, which the compiled units inline) or
+          a tracer that rebinds ``cpu.step``, with or without
+          attribution — :meth:`run_reference`.
+
+        All three produce bit-identical counters and cycles.
         """
-        if (self.attribution is None
-                and self.telemetry is None
+        if (self.telemetry is None
                 and self.cpu.telemetry is None
                 and "step" not in self.cpu.__dict__
                 and "lookup" not in self.cpu.trt.__dict__):
-            return self._run_traces(max_instructions)
+            if self.attribution is None:
+                return self._run_traces(max_instructions)
+            return self._run_blocks(max_instructions)
         return self.run_reference(max_instructions)
+
+    def _run_blocks(self, max_instructions):
+        """Block-at-a-time dispatch loop with attribution.
+
+        Runs the shared compiled blocks (:mod:`repro.sim.blocks`) and
+        charges attribution per call from the unit's static summary,
+        indexed by how many instructions the call retired (see
+        :class:`~repro.sim.blocks.AttributedUnits`).  Every handler
+        entry heads a unit, so entry counts and flat spans are kept
+        once per bytecode, from the running cycle total, with the
+        arithmetic of :meth:`run_reference`.
+        """
+        from repro.sim.blocks import block_table
+
+        cpu = self.cpu
+        attribution = self.attribution
+        table = block_table(cpu.program, self.config)
+        units = table.attributed(attribution)
+        slots = units.units
+        size = len(slots)
+        base = table.base
+        icache = self.icache
+        ic = icache.access
+        dc = self.dcache.access
+        dr = self.dram.access
+        frontend = self.frontend
+        counters = self.counters
+        entry_names = attribution.entry_names
+        bucket_counts = [0] * len(attribution.bucket_names)
+        entry_counts = [0] * len(entry_names)
+        entry_type_hits = [0] * len(entry_names)
+        entry_type_misses = [0] * len(entry_names)
+        flat_instructions = [0] * (len(entry_names) + 1)
+        flat_cycles = [0] * (len(entry_names) + 1)
+        span_cycles = 0
+        span_instret = 0
+        current_entry = -1
+        cycles = 0
+        prev = -1
+
+        while not cpu.halted:
+            index = (cpu.pc - base) >> 2
+            if 0 <= index < size:
+                unit = slots[index]
+                if unit is None:
+                    unit = units.unit_at(index)
+            else:
+                raise IllegalInstruction(
+                    "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
+            before = cpu.instret
+            if before + unit[1] > max_instructions:
+                # Close to the budget: a single instruction, so the
+                # limit trips at the exact instruction.
+                unit = units.single_at(index)
+            fn, _count, entry, summary = unit
+            if entry >= 0:
+                # Close the previous flat span (see run_reference).
+                flat_cycles[current_entry + 1] += cycles - span_cycles
+                flat_instructions[current_entry + 1] += \
+                    before - span_instret
+                span_cycles = cycles
+                span_instret = before
+                entry_counts[entry] += 1
+                current_entry = entry
+            # The inlined tagged ALU sets the flag only on a miss.
+            cpu.redirect = False
+            c, prev = fn(cpu, prev, ic, dc, dr, frontend, counters, icache)
+            cycles += c
+            done = cpu.instret
+            pairs, hits, miss = summary[done - before]
+            for bucket, count in pairs:
+                bucket_counts[bucket] += count
+            if current_entry >= 0:
+                if miss < 0:
+                    # A tagged ALU or check ended the unit: the flag
+                    # tells whether it redirected.
+                    if cpu.redirect:
+                        miss = 1
+                    else:
+                        hits += 1
+                if hits:
+                    entry_type_hits[current_entry] += hits
+                if miss > 0:
+                    entry_type_misses[current_entry] += 1
+            if done >= max_instructions:
+                raise ExecutionLimitExceeded(
+                    "exceeded %d instructions at PC 0x%x"
+                    % (max_instructions, cpu.pc), pc=cpu.pc,
+                    mnemonic=table.instructions[
+                        index + done - before - 1].mnemonic)
+
+        flat_cycles[current_entry + 1] += cycles - span_cycles
+        flat_instructions[current_entry + 1] += cpu.instret - span_instret
+        self._finalize(cycles)
+        counters.bucket_instructions = dict(
+            zip(attribution.bucket_names, bucket_counts))
+        counters.bytecode_counts = dict(zip(entry_names, entry_counts))
+        counters.bytecode_type_hits = dict(
+            zip(entry_names, entry_type_hits))
+        counters.bytecode_type_misses = dict(
+            zip(entry_names, entry_type_misses))
+        flat_names = ["(startup)"] + list(entry_names)
+        counters.bytecode_flat_instructions = {
+            name: count for name, count
+            in zip(flat_names, flat_instructions) if count}
+        counters.bytecode_flat_cycles = {
+            name: count for name, count
+            in zip(flat_names, flat_cycles) if count}
+        return counters
 
     def _run_traces(self, max_instructions):
         """Trace-at-a-time dispatch loop (see :mod:`repro.sim.traces`).
@@ -190,9 +305,9 @@ class Machine:
 
     def run_reference(self, max_instructions=200_000_000):
         """The reference per-instruction loop: the timing model's spec,
-        which :meth:`run` selects whenever attribution or telemetry is
-        attached, and which tests and ``tools/perfbench.py`` compare
-        the trace engine against."""
+        which :meth:`run` selects whenever telemetry or a ``cpu.step``
+        shadow is attached, and which tests and ``tools/perfbench.py``
+        compare the trace and attributed block engines against."""
         cpu = self.cpu
         config = self.config
         latency = config.latency

@@ -8,11 +8,16 @@ hangs or dies in the pool yet completes instantly when the executor
 quarantines it to serial execution in the parent.
 """
 
+import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.bench.parallel import run_hardened
 
 _PARENT_PID = os.getpid()
@@ -93,3 +98,54 @@ def test_on_result_fires_once_per_task():
                            **FAST)
     assert sorted(seen) == [(3, 9), (4, 16), (5, 25)]
     assert len(seen) == len(results) == 3
+
+
+# A serving shard runs a ``sweep`` request in a pool forked from a
+# thread while its asyncio loop handles SIGTERM (as drain).  The probe
+# rebuilds that shape in a fresh interpreter, hangs the worker, kills
+# the pool the way the hardened executor does, and reports the
+# worker's exit code and whether the loop's SIGTERM handler ran.
+_SHARD_PROBE = """
+import asyncio, json, signal, time
+from concurrent.futures import ProcessPoolExecutor
+from repro.bench.parallel import _kill_pool, _warm_worker
+
+def sweep():
+    pool = ProcessPoolExecutor(max_workers=1, initializer=_warm_worker,
+                               initargs=((), ()))
+    pool.submit(int).result()      # the worker is up and initialised
+    pool.submit(time.sleep, 60)    # a hung sweep cell
+    time.sleep(0.3)
+    processes = list(pool._processes.values())
+    _kill_pool(pool)
+    codes = []
+    for process in processes:
+        process.join(5)
+        codes.append(process.exitcode)
+        if process.is_alive():
+            process.kill()
+            process.join()
+    return codes
+
+async def main():
+    loop = asyncio.get_running_loop()
+    drained = []
+    loop.add_signal_handler(signal.SIGTERM, drained.append, "drain")
+    codes = await loop.run_in_executor(None, sweep)
+    await asyncio.sleep(0.3)
+    print(json.dumps({"codes": codes, "drained": drained}))
+
+asyncio.run(main())
+"""
+
+
+def test_kill_stops_worker_forked_under_a_signal_handling_loop():
+    """Terminating a hung worker must stop it, not forward the SIGTERM
+    through the inherited wakeup fd and drain the forking shard."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = subprocess.run([sys.executable, "-c", _SHARD_PROBE],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == {"codes": [-signal.SIGTERM],
+                                        "drained": []}

@@ -100,7 +100,7 @@ def test_block_engine_matches_interpreter(text):
     blk = Machine(blk_cpu).run(max_instructions=100_000)
     assert blk.as_dict() == ref.as_dict()
     assert blk_cpu.regs.value == ref_cpu.regs.value
-    assert blk_cpu.mem.data == ref_cpu.mem.data
+    assert bytes(blk_cpu.mem.data) == bytes(ref_cpu.mem.data)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,4 +112,4 @@ def test_functional_state_independent_of_timing(text):
     pure_cpu = Cpu(assemble(text), Memory(size=1 << 16))
     pure_cpu.run(max_instructions=100_000)
     assert timed_cpu.regs.value == pure_cpu.regs.value
-    assert timed_cpu.mem.data == pure_cpu.mem.data
+    assert bytes(timed_cpu.mem.data) == bytes(pure_cpu.mem.data)

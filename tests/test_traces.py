@@ -57,7 +57,7 @@ def _assert_identical(outcomes):
         assert cpu.pc == ref_cpu.pc
         assert cpu.regs.value == ref_cpu.regs.value
         assert cpu.regs.type == ref_cpu.regs.type
-        assert cpu.mem.data == ref_cpu.mem.data
+        assert bytes(cpu.mem.data) == bytes(ref_cpu.mem.data)
 
 
 _HOT_LOOP = """
