@@ -14,7 +14,8 @@ a ``busy`` + ``retry_after`` rejection; SIGTERM drains in-flight work
 before exit.
 
 * :mod:`repro.serve.server` — the asyncio daemon
-  (:class:`ExecutionService` + :class:`ExecutionServer`),
+  (:class:`ExecutionService`) and the socket front end both roles
+  share (:class:`FrontEnd`),
 * :mod:`repro.serve.client` — a small blocking client
   (:class:`ServeClient`), used by ``repro submit``,
 * :mod:`repro.serve.protocol` — the wire format,
@@ -37,16 +38,16 @@ the sharded tier and docs/RELIABILITY.md for the chaos harness.
 from repro.serve.client import ServeBusy, ServeClient, ServeError, ServeShed
 from repro.serve.hashring import HashRing
 from repro.serve.server import (
-    ExecutionServer,
     ExecutionService,
+    FrontEnd,
     default_socket_path,
     free_socket_path,
     serve,
 )
 
-__all__ = ["ExecutionService", "ExecutionServer", "ServeClient",
+__all__ = ["ExecutionService", "FrontEnd", "ServeClient",
            "ServeError", "ServeBusy", "ServeShed", "HashRing", "Router",
-           "RouterServer", "ShardManager", "ShardSpec",
+           "ShardManager", "ShardSpec",
            "ShardSupervisor", "supervised", "ChaosSpec", "run_chaos",
            "default_socket_path", "free_socket_path", "serve", "route"]
 
@@ -55,8 +56,7 @@ def __getattr__(name):
     # Router, supervision and chaos machinery are imported lazily: the
     # daemon itself never needs them, and keeping them out of the hot
     # import path keeps forked shard workers lean.
-    if name in ("Router", "RouterServer", "ShardManager", "ShardSpec",
-                "route"):
+    if name in ("Router", "ShardManager", "ShardSpec", "route"):
         from repro.serve import router as _router
         return getattr(_router, name)
     if name in ("ShardSupervisor", "supervised"):

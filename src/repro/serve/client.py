@@ -30,6 +30,7 @@ class ServeError(RuntimeError):
     def __init__(self, code, message, retry_after=None):
         super().__init__("%s: %s" % (code, message))
         self.code = code
+        self.message = message
         self.retry_after = retry_after
 
 

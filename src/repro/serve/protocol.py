@@ -27,7 +27,9 @@ Server -> client frames:
   ``invalid``, ``busy`` (queue full; carries ``retry_after`` seconds),
   ``shed`` (router-side load shedding below shard quorum; also
   carries ``retry_after``), ``deadline``, ``draining``,
-  ``execution``, ``internal``.
+  ``execution``, ``internal``.  A terminal frame over
+  :data:`MAX_FRAME_BYTES` is sent as an ``execution`` error for the
+  same ``id`` instead, and the connection stays usable.
 * ``{"kind": "pong" | "status", "id": ..., ...}`` — control replies.
 
 The payload schema inside ``request``/``result`` is exactly

@@ -1,7 +1,8 @@
 """``repro route`` — the consistent-hash front router of the serve tier.
 
-One router process fronts N ``repro serve`` shards and speaks the
-*same* NDJSON protocol as a single daemon, so every existing client
+One router process fronts N ``repro serve`` shards behind the *same*
+socket front end as a single daemon
+(:class:`~repro.serve.server.FrontEnd`), so every existing client
 (``repro submit``, :class:`~repro.serve.client.ServeClient`, the load
 generator) works against either unchanged.  What the router adds:
 
@@ -52,7 +53,6 @@ import collections
 import contextlib
 import logging
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -63,11 +63,7 @@ from repro.schema import SCHEMA_VERSION, SchemaError
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
-from repro.serve.server import (
-    cache_tier_stats,
-    free_socket_path,
-    start_front_end,
-)
+from repro.serve.server import FrontEnd, cache_tier_stats, free_socket_path
 
 _LOG = logging.getLogger("repro.serve.router")
 
@@ -476,7 +472,7 @@ class Router:
                     continue
                 self.counters["failed"] += 1
                 return ("error", err.code or protocol.ERR_EXECUTION,
-                        str(err), {})
+                        err.message, {})
             except (ConnectionError, OSError) as err:
                 self.mark_down(shard_id)
                 tried.append(shard_id)
@@ -517,6 +513,63 @@ class Router:
                                    backoff=self.backoff)
             return result.as_dict()
 
+    # -- the front end's submit --------------------------------------------
+
+    async def handle_submit(self, request_id, payload, send):
+        """Answer one submit frame: relay the forward's events as they
+        arrive, then its terminal frame.  ``send`` writes one frame to
+        the submitting connection."""
+        if self.draining:
+            self.counters["drain_rejected"] += 1
+            await send(protocol.error_frame(
+                request_id, protocol.ERR_DRAINING,
+                "router is draining; resubmit elsewhere"))
+            return
+
+        self.inflight += 1
+        events = asyncio.Queue()
+        forward = asyncio.ensure_future(
+            self.forward(payload, events.put_nowait))
+        try:
+            while True:
+                getter = asyncio.ensure_future(events.get())
+                done, _pending = await asyncio.wait(
+                    {getter, forward},
+                    return_when=asyncio.FIRST_COMPLETED)
+                if getter in done:
+                    await self._relay_event(send, request_id,
+                                            getter.result())
+                    continue
+                getter.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await getter
+                while not events.empty():
+                    await self._relay_event(send, request_id,
+                                            events.get_nowait())
+                outcome = forward.result()
+                if outcome[0] == "result":
+                    await send(protocol.result_frame(
+                        request_id, outcome[1]))
+                else:
+                    _kind, code, message, extra = outcome
+                    await send(protocol.error_frame(
+                        request_id, code, message, **extra))
+                return
+        finally:
+            if not forward.done():
+                forward.cancel()
+                with contextlib.suppress(asyncio.CancelledError,
+                                         Exception):
+                    await forward
+            self.inflight -= 1
+            self.maybe_finish_drain()
+
+    async def _relay_event(self, send, request_id, frame):
+        extra = {key: value for key, value in frame.items()
+                 if key not in ("kind", "id", "event", "version")}
+        await send(protocol.event_frame(
+            request_id, frame.get("event"), **extra))
+
     # -- introspection -----------------------------------------------------
 
     def stats(self):
@@ -545,171 +598,6 @@ class Router:
         if self.supervisor is not None:
             stats["supervisor"] = self.supervisor.stats()
         return stats
-
-
-class RouterServer:
-    """The router's socket front end — protocol-compatible with
-    :class:`repro.serve.server.ExecutionServer`."""
-
-    def __init__(self, router, *, socket_path=None, host=None, port=None):
-        if host is None and socket_path is None:
-            socket_path = free_socket_path("typedarch-route")
-        self.router = router
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.bound_port = None
-        self._server = None
-        self._connections = set()
-
-    async def start(self):
-        self.router.start(asyncio.get_running_loop())
-        self._server, self.bound_port = await start_front_end(
-            self._handle_connection, self.socket_path, self.host,
-            self.port)
-        return self
-
-    def install_signal_handlers(self):
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, self.router.begin_drain)
-
-    async def serve_until_stopped(self):
-        await self.router.stopped.wait()
-        await self.close()
-
-    async def close(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        for task in list(self._connections):
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        self._connections.clear()
-        await self.router.stop()
-        if self.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.socket_path)
-
-    # -- per-connection protocol -------------------------------------------
-
-    async def _send(self, writer, frame):
-        writer.write(protocol.encode(frame))
-        await writer.drain()
-
-    async def _handle_connection(self, reader, writer):
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = protocol.decode(line)
-                except protocol.ProtocolError as err:
-                    await self._send(writer, protocol.error_frame(
-                        None, protocol.ERR_MALFORMED, str(err)))
-                    continue
-                await self._handle_frame(frame, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _handle_frame(self, frame, writer):
-        request_id = frame.get("id")
-        reason = protocol.version_mismatch(frame)
-        if reason is not None:
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_VERSION, reason))
-            return
-        kind = frame.get("kind")
-        if kind == "ping":
-            await self._send(writer, protocol.pong_frame(request_id))
-        elif kind == "status":
-            await self._send(writer, protocol.status_frame(
-                request_id, self.router.stats()))
-        elif kind == "drain":
-            self.router.begin_drain()
-            await self._send(writer, protocol.status_frame(
-                request_id, self.router.stats()))
-        elif kind == "submit":
-            await self._handle_submit(frame, writer)
-        else:
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_MALFORMED,
-                "unknown frame kind %r" % (kind,)))
-
-    async def _handle_submit(self, frame, writer):
-        request_id = frame.get("id")
-        payload = frame.get("request")
-        if not isinstance(payload, dict):
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_MALFORMED,
-                "submit frame has no request object"))
-            return
-        if self.router.draining:
-            self.router.counters["drain_rejected"] += 1
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_DRAINING,
-                "router is draining; resubmit elsewhere"))
-            return
-
-        self.router.inflight += 1
-        events = asyncio.Queue()
-        forward = asyncio.ensure_future(
-            self.router.forward(payload, events.put_nowait))
-        try:
-            while True:
-                getter = asyncio.ensure_future(events.get())
-                done, _pending = await asyncio.wait(
-                    {getter, forward},
-                    return_when=asyncio.FIRST_COMPLETED)
-                if getter in done:
-                    await self._relay_event(writer, request_id,
-                                            getter.result())
-                    continue
-                getter.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await getter
-                while not events.empty():
-                    await self._relay_event(writer, request_id,
-                                            events.get_nowait())
-                outcome = forward.result()
-                if outcome[0] == "result":
-                    await self._send(writer, protocol.result_frame(
-                        request_id, outcome[1]))
-                else:
-                    _kind, code, message, extra = outcome
-                    await self._send(writer, protocol.error_frame(
-                        request_id, code, message, **extra))
-                return
-        finally:
-            if not forward.done():
-                forward.cancel()
-                with contextlib.suppress(asyncio.CancelledError,
-                                         Exception):
-                    await forward
-            self.router.inflight -= 1
-            self.router.maybe_finish_drain()
-
-    async def _relay_event(self, writer, request_id, frame):
-        extra = {key: value for key, value in frame.items()
-                 if key not in ("kind", "id", "event", "version")}
-        await self._send(writer, protocol.event_frame(
-            request_id, frame.get("event"), **extra))
 
 
 class ShardManager:
@@ -892,10 +780,12 @@ async def route(shards, *, socket_path=None, host=None, port=None,
                 signals=True, ready=None, supervisor=None,
                 **router_kwargs):
     """Run the router until drained (the ``repro route`` body)."""
+    if host is None and socket_path is None:
+        socket_path = free_socket_path("typedarch-route")
     router = Router(shards, **router_kwargs)
     router.supervisor = supervisor
-    server = RouterServer(router, socket_path=socket_path, host=host,
-                          port=port)
+    server = FrontEnd(router, socket_path=socket_path, host=host,
+                      port=port)
     if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
     await server.start()

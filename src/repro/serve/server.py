@@ -27,6 +27,8 @@ Design (see docs/API.md for the wire protocol):
   :mod:`repro.bench.parallel`).
 * **Graceful drain** — SIGTERM (or a ``drain`` frame) stops admission,
   finishes queued and in-flight work, flushes every reply, then exits.
+* **One front end** — :class:`FrontEnd` serves this service and the
+  ``repro route`` router alike; each backend handles only submits.
 """
 
 import asyncio
@@ -270,6 +272,63 @@ class ExecutionService:
         self._queue.put_nowait((job.priority, self._seq, job))
         return job, None, None
 
+    async def handle_submit(self, request_id, payload, send):
+        """Answer one submit frame: a rejection or cache hit at once,
+        else ``queued``, the job's events and its terminal frame.
+        ``send`` writes one frame to the submitting connection."""
+        job, rejection, cached = self.submit(payload)
+        if rejection is not None:
+            code, message, extra = rejection
+            await send(protocol.error_frame(
+                request_id, code, message, **extra))
+            return
+        if cached is not None:
+            await send(protocol.result_frame(request_id, cached.as_dict()))
+            return
+
+        coalesced = job.started or bool(job.subscribers)
+        if coalesced:
+            self.stats_counters["coalesced"] += 1
+        queue = asyncio.Queue()
+        job.subscribers.append(queue)
+        await send(protocol.event_frame(
+            request_id, "queued", key=job.key, coalesced=coalesced,
+            priority=job.priority))
+        if job.completed:
+            # Completed between submit() and subscription — impossible
+            # on one loop iteration, but cheap to guard.
+            self._replies_pending += 1
+            queue.put_nowait(job.final)
+        replied = False
+        try:
+            while True:
+                item = await queue.get()
+                if item[0] == "event":
+                    _kind, event, extra = item
+                    await send(protocol.event_frame(
+                        request_id, event, **extra))
+                    continue
+                if item[0] == "result":
+                    result = dict(item[1])
+                    if coalesced:
+                        result["coalesced"] = True
+                    await send(protocol.result_frame(request_id, result))
+                else:
+                    _kind, code, message = item
+                    await send(protocol.error_frame(
+                        request_id, code, message))
+                replied = True
+                self.reply_done()
+                return
+        finally:
+            if not job.completed:
+                with contextlib.suppress(ValueError):
+                    job.subscribers.remove(queue)
+            elif not replied and queue in job.subscribers:
+                # We were counted at completion but never delivered.
+                job.subscribers.remove(queue)
+                self.reply_done()
+
     # -- execution ---------------------------------------------------------
 
     async def _dispatch_loop(self):
@@ -492,15 +551,21 @@ def cache_tier_stats():
     }
 
 
-class ExecutionServer:
-    """The socket front end: accepts NDJSON connections and routes
-    frames to an :class:`ExecutionService`."""
+class FrontEnd:
+    """The socket front end of ``repro serve`` and ``repro route``.
 
-    def __init__(self, service, *, socket_path=None, host=None,
+    Accepts NDJSON connections and answers ``ping``, ``status``,
+    ``drain`` and malformed frames itself; a ``submit`` goes to the
+    backend (an :class:`ExecutionService` or a
+    :class:`repro.serve.router.Router`).  A backend provides
+    ``start(loop)``, ``stop()``, ``stopped``, ``begin_drain()``,
+    ``stats()`` and ``handle_submit(request_id, payload, send)``, where
+    ``send`` is a coroutine function that writes one frame back to the
+    submitting connection."""
+
+    def __init__(self, backend, *, socket_path=None, host=None,
                  port=None):
-        if host is None and socket_path is None:
-            socket_path = default_socket_path()
-        self.service = service
+        self.backend = backend
         self.socket_path = socket_path
         self.host = host
         self.port = port
@@ -509,7 +574,7 @@ class ExecutionServer:
         self._connections = set()
 
     async def start(self):
-        self.service.start(asyncio.get_running_loop())
+        self.backend.start(asyncio.get_running_loop())
         self._server, self.bound_port = await start_front_end(
             self._handle_connection, self.socket_path, self.host,
             self.port)
@@ -519,11 +584,11 @@ class ExecutionServer:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, self.service.begin_drain)
+                loop.add_signal_handler(signum, self.backend.begin_drain)
 
     async def serve_until_stopped(self):
         """Serve until a drain completes, then shut down cleanly."""
-        await self.service.stopped.wait()
+        await self.backend.stopped.wait()
         await self.close()
 
     async def close(self):
@@ -537,7 +602,7 @@ class ExecutionServer:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         self._connections.clear()
-        await self.service.stop()
+        await self.backend.stop()
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
@@ -545,7 +610,17 @@ class ExecutionServer:
     # -- per-connection protocol -------------------------------------------
 
     async def _send(self, writer, frame):
-        writer.write(protocol.encode(frame))
+        try:
+            blob = protocol.encode(frame)
+        except protocol.ProtocolError as err:
+            if frame["kind"] not in ("result", "error"):
+                raise
+            # A terminal reply over the frame cap still answers its
+            # submit, and the connection stays usable.
+            blob = protocol.encode(protocol.error_frame(
+                frame["id"], protocol.ERR_EXECUTION,
+                "reply too large: %s" % err))
+        writer.write(blob)
         await writer.drain()
 
     async def _handle_connection(self, reader, writer):
@@ -587,80 +662,23 @@ class ExecutionServer:
             await self._send(writer, protocol.pong_frame(request_id))
         elif kind == "status":
             await self._send(writer, protocol.status_frame(
-                request_id, self.service.stats()))
+                request_id, self.backend.stats()))
         elif kind == "drain":
-            self.service.begin_drain()
+            self.backend.begin_drain()
             await self._send(writer, protocol.status_frame(
-                request_id, self.service.stats()))
-        elif kind == "submit":
-            await self._handle_submit(frame, writer)
-        else:
+                request_id, self.backend.stats()))
+        elif kind != "submit":
             await self._send(writer, protocol.error_frame(
                 request_id, protocol.ERR_MALFORMED,
                 "unknown frame kind %r" % (kind,)))
-
-    async def _handle_submit(self, frame, writer):
-        request_id = frame.get("id")
-        payload = frame.get("request")
-        if not isinstance(payload, dict):
+        elif not isinstance(frame.get("request"), dict):
             await self._send(writer, protocol.error_frame(
                 request_id, protocol.ERR_MALFORMED,
                 "submit frame has no request object"))
-            return
-        job, rejection, cached = self.service.submit(payload)
-        if rejection is not None:
-            code, message, extra = rejection
-            await self._send(writer, protocol.error_frame(
-                request_id, code, message, **extra))
-            return
-        if cached is not None:
-            await self._send(writer, protocol.result_frame(
-                request_id, cached.as_dict()))
-            return
-
-        coalesced = job.started or bool(job.subscribers)
-        if coalesced:
-            self.service.stats_counters["coalesced"] += 1
-        queue = asyncio.Queue()
-        job.subscribers.append(queue)
-        await self._send(writer, protocol.event_frame(
-            request_id, "queued", key=job.key, coalesced=coalesced,
-            priority=job.priority))
-        if job.completed:
-            # Completed between submit() and subscription — impossible
-            # on one loop iteration, but cheap to guard.
-            self.service._replies_pending += 1
-            queue.put_nowait(job.final)
-        replied = False
-        try:
-            while True:
-                item = await queue.get()
-                if item[0] == "event":
-                    _kind, event, extra = item
-                    await self._send(writer, protocol.event_frame(
-                        request_id, event, **extra))
-                    continue
-                if item[0] == "result":
-                    result = dict(item[1])
-                    if coalesced:
-                        result["coalesced"] = True
-                    await self._send(writer, protocol.result_frame(
-                        request_id, result))
-                else:
-                    _kind, code, message = item
-                    await self._send(writer, protocol.error_frame(
-                        request_id, code, message))
-                replied = True
-                self.service.reply_done()
-                return
-        finally:
-            if not job.completed:
-                with contextlib.suppress(ValueError):
-                    job.subscribers.remove(queue)
-            elif not replied and queue in job.subscribers:
-                # We were counted at completion but never delivered.
-                job.subscribers.remove(queue)
-                self.service.reply_done()
+        else:
+            await self.backend.handle_submit(
+                request_id, frame["request"],
+                functools.partial(self._send, writer))
 
 
 async def serve(service=None, *, socket_path=None, host=None, port=None,
@@ -668,11 +686,13 @@ async def serve(service=None, *, socket_path=None, host=None, port=None,
     """Run the daemon until drained (the ``repro serve`` body).
 
     ``ready`` is an optional callback invoked with the started
-    :class:`ExecutionServer` (tests and the smoke harness use it to
-    learn the bound address)."""
+    :class:`FrontEnd` (tests and the smoke harness use it to learn the
+    bound address)."""
+    if host is None and socket_path is None:
+        socket_path = default_socket_path()
     service = service or ExecutionService(**service_kwargs)
-    server = ExecutionServer(service, socket_path=socket_path,
-                             host=host, port=port)
+    server = FrontEnd(service, socket_path=socket_path, host=host,
+                      port=port)
     if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
     await server.start()

@@ -292,7 +292,7 @@ class _Emitter:
     training, the I- and D-cache MRU probes, the functional memory
     access and the TRT probe — instead of calling them.  The inlined
     code manipulates the very same model state (counter lists, LRU
-    order lists, the tag sets, the backing bytearray, the TRT rule
+    order lists, the tag sets, the guest-RAM ``mmap``, the TRT rule
     dict), with slow paths falling back to the real methods, so the
     model state and every counter remain bit-identical at any deopt
     boundary even though traces, blocks and single-instruction units
@@ -589,7 +589,7 @@ class _Emitter:
             uses.add("mem")
             width, signed = LOAD_ARGS[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            # In-bounds accesses read the backing bytearray directly;
+            # In-bounds accesses slice guest RAM (the mmap) directly;
             # the bounds check routes out-of-range addresses to
             # Memory.load for the exact MemoryError.
             uses.add("memf")

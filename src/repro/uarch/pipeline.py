@@ -210,20 +210,9 @@ class Machine:
         flat_cycles[current_entry + 1] += cycles - span_cycles
         flat_instructions[current_entry + 1] += cpu.instret - span_instret
         self._finalize(cycles)
-        counters.bucket_instructions = dict(
-            zip(attribution.bucket_names, bucket_counts))
-        counters.bytecode_counts = dict(zip(entry_names, entry_counts))
-        counters.bytecode_type_hits = dict(
-            zip(entry_names, entry_type_hits))
-        counters.bytecode_type_misses = dict(
-            zip(entry_names, entry_type_misses))
-        flat_names = ["(startup)"] + list(entry_names)
-        counters.bytecode_flat_instructions = {
-            name: count for name, count
-            in zip(flat_names, flat_instructions) if count}
-        counters.bytecode_flat_cycles = {
-            name: count for name, count
-            in zip(flat_names, flat_cycles) if count}
+        self._publish_attribution(bucket_counts, entry_counts,
+                                  entry_type_hits, entry_type_misses,
+                                  flat_instructions, flat_cycles)
         return counters
 
     def _run_traces(self, max_instructions):
@@ -481,22 +470,34 @@ class Machine:
 
         self._finalize(cycles)
         if attribution is not None:
-            counters.bucket_instructions = dict(
-                zip(attribution.bucket_names, bucket_counts))
-            counters.bytecode_counts = dict(
-                zip(attribution.entry_names, entry_counts))
-            counters.bytecode_type_hits = dict(
-                zip(attribution.entry_names, entry_type_hits))
-            counters.bytecode_type_misses = dict(
-                zip(attribution.entry_names, entry_type_misses))
-            flat_names = ["(startup)"] + list(entry_names)
-            counters.bytecode_flat_instructions = {
-                name: count for name, count
-                in zip(flat_names, flat_instructions) if count}
-            counters.bytecode_flat_cycles = {
-                name: count for name, count
-                in zip(flat_names, flat_cycles) if count}
+            self._publish_attribution(bucket_counts, entry_counts,
+                                      entry_type_hits, entry_type_misses,
+                                      flat_instructions, flat_cycles)
         return counters
+
+    def _publish_attribution(self, bucket_counts, entry_counts,
+                             entry_type_hits, entry_type_misses,
+                             flat_instructions, flat_cycles):
+        """Store an attributed run's tallies in the counters as dicts
+        keyed by bucket and bytecode name; flat slot 0 is interpreter
+        startup, and empty flat slots are left out."""
+        attribution = self.attribution
+        counters = self.counters
+        entry_names = attribution.entry_names
+        counters.bucket_instructions = dict(
+            zip(attribution.bucket_names, bucket_counts))
+        counters.bytecode_counts = dict(zip(entry_names, entry_counts))
+        counters.bytecode_type_hits = dict(
+            zip(entry_names, entry_type_hits))
+        counters.bytecode_type_misses = dict(
+            zip(entry_names, entry_type_misses))
+        flat_names = ["(startup)"] + list(entry_names)
+        counters.bytecode_flat_instructions = {
+            name: count for name, count
+            in zip(flat_names, flat_instructions) if count}
+        counters.bytecode_flat_cycles = {
+            name: count for name, count
+            in zip(flat_names, flat_cycles) if count}
 
     def _finalize(self, cycles):
         """Publish run totals from the model state into the counters."""

@@ -15,8 +15,7 @@ from repro.bench.runner import clear_cache
 from repro.serve.client import ServeBusy, ServeShed
 from repro.serve.hashring import HashRing
 from repro.serve.router import ShardSpec
-from tests.test_router import RouterHarness
-from tests.test_serve import Harness
+from tests.test_serve import Harness, router_harness
 
 
 @pytest.fixture(autouse=True)
@@ -55,10 +54,10 @@ class AbruptShard:
         self._sock.close()
 
 
-def _source_owned_by(shard_id, specs):
+def _source_owned_by(shard_id, shard_ids):
     """A lua source whose canonical work key the ring places on
     ``shard_id`` (placement is deterministic, so just scan)."""
-    ring = HashRing([spec.shard_id for spec in specs])
+    ring = HashRing(shard_ids)
     for value in range(256):
         source = "print(%d)\n" % value
         request = api.ExecutionRequest(op="run", engine="lua",
@@ -75,11 +74,11 @@ def test_midflight_shard_death_redispatches_with_retried_event(tmp_path):
     abrupt = AbruptShard(tmp_path)
     # Huge health interval: eviction must come from the forward path
     # (mark_down), not from a lucky probe racing the submit.
-    router = RouterHarness(tmp_path, [abrupt, real],
-                           health_interval=60.0).start()
+    router = router_harness(tmp_path, [abrupt, real],
+                            health_interval=60.0).start()
     abrupt_id = ShardSpec(socket_path=abrupt.socket_path).shard_id
     real_id = ShardSpec(socket_path=real.socket_path).shard_id
-    source = _source_owned_by(abrupt_id, router.specs)
+    source = _source_owned_by(abrupt_id, router.backend.shards)
     events = []
     try:
         with router.client() as client:
@@ -115,13 +114,13 @@ def test_total_shard_loss_sheds_typed_error_and_drains_clean(tmp_path):
     shard_dir = tmp_path / "shard-0"
     shard_dir.mkdir()
     shard = Harness(shard_dir).start()
-    router = RouterHarness(tmp_path, [shard], health_interval=0.1,
-                           fail_threshold=1).start()
+    router = router_harness(tmp_path, [shard], health_interval=0.1,
+                            fail_threshold=1).start()
     try:
         with router.client() as client:
             assert client.run("lua", "print(1)\n").ok
         shard.stop()
-        _wait_for(lambda: router.router.healthy_count() == 0)
+        _wait_for(lambda: router.backend.healthy_count() == 0)
         # New work is rejected fast with a typed error, not a hang.
         with router.client(timeout=10.0) as client:
             with pytest.raises(ServeShed) as excinfo:
@@ -144,11 +143,11 @@ def test_below_quorum_sheds_lowest_priority_first(tmp_path):
         directory.mkdir()
     shards = [Harness(directory).start() for directory in shard_dirs]
     # Majority quorum of 2 shards is 2: one loss puts us below it.
-    router = RouterHarness(tmp_path, shards, health_interval=0.1,
-                           fail_threshold=1, quorum=2).start()
+    router = router_harness(tmp_path, shards, health_interval=0.1,
+                            fail_threshold=1, quorum=2).start()
     try:
         shards[1].stop()
-        _wait_for(lambda: router.router.healthy_count() == 1)
+        _wait_for(lambda: router.backend.healthy_count() == 1)
         with router.client(timeout=10.0) as client:
             # Least urgent traffic is shed...
             with pytest.raises(ServeShed):

@@ -2,11 +2,9 @@
 failover on shard loss, the router-side shared-cache probe, graceful
 drain with zero dropped forwards, and aggregated status.
 
-Shards are in-process :class:`tests.test_serve.Harness` daemons
-(inline pool — deterministic), fronted by a real
-:class:`RouterServer` on its own thread."""
+Shards and the router run on :class:`tests.test_serve.Harness`
+threads; shards use the inline pool, so execution is deterministic."""
 
-import asyncio
 import json
 import threading
 import time
@@ -16,10 +14,14 @@ import pytest
 from repro import api
 from repro.bench import cache as result_cache
 from repro.bench.runner import clear_cache
-from repro.serve.client import ServeBusy, ServeClient, ServeError
+from repro.serve.client import ServeBusy, ServeError
 from repro.serve.hashring import HashRing
-from repro.serve.router import Router, RouterServer, ShardSpec
-from tests.test_serve import Harness, gated_harness
+from tests.test_serve import (
+    OVER_CAP_SOURCE,
+    Harness,
+    gated_harness,
+    router_harness,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -30,55 +32,13 @@ def isolated_cache(tmp_path):
     clear_cache()
 
 
-class RouterHarness:
-    """A router thread over already-started shard harnesses."""
-
-    def __init__(self, tmp_path, shards, **router_kwargs):
-        router_kwargs.setdefault("health_interval", 0.2)
-        router_kwargs.setdefault("backoff", 0.05)
-        self.socket_path = str(tmp_path / "router.sock")
-        self.specs = [ShardSpec(socket_path=shard.socket_path)
-                      for shard in shards]
-        self.router = Router(self.specs, **router_kwargs)
-        self._ready = threading.Event()
-        self.exited = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        async def main():
-            server = RouterServer(self.router,
-                                  socket_path=self.socket_path)
-            await server.start()
-            self._ready.set()
-            await server.serve_until_stopped()
-        asyncio.run(main())
-        self.exited.set()
-
-    def start(self):
-        self._thread.start()
-        assert self._ready.wait(10), "router never came up"
-        return self
-
-    def client(self, timeout=120.0):
-        return ServeClient(socket_path=self.socket_path, timeout=timeout)
-
-    def stop(self):
-        if not self.exited.is_set():
-            try:
-                with self.client(10) as client:
-                    client.drain()
-            except (OSError, ServeError):
-                pass
-        assert self.exited.wait(30), "router never drained"
-
-
 @pytest.fixture
 def tier(tmp_path):
     shard_dirs = [tmp_path / ("shard-%d" % i) for i in range(2)]
     for directory in shard_dirs:
         directory.mkdir()
     shards = [Harness(directory).start() for directory in shard_dirs]
-    router = RouterHarness(tmp_path, shards).start()
+    router = router_harness(tmp_path, shards).start()
     yield router, shards
     router.stop()
     for shard in shards:
@@ -115,7 +75,7 @@ def test_routed_submit_matches_in_process(tier):
 def test_placement_is_deterministic_and_matches_the_ring(tier):
     router, _shards = tier
     sources = ["print(%d)\n" % value for value in range(8)]
-    ring = HashRing([spec.shard_id for spec in router.specs])
+    ring = HashRing(router.backend.shards)
     with router.client() as client:
         for source in sources:
             request = api.ExecutionRequest(op="run", engine="lua",
@@ -132,7 +92,7 @@ def test_both_shards_participate(tier):
     with router.client() as client:
         seen = {shard for source in sources
                 for shard in _routed_shards(client, source)}
-    assert seen == {spec.shard_id for spec in router.specs}
+    assert seen == set(router.backend.shards)
 
 
 def test_failover_on_shard_loss_and_ring_eviction(tier):
@@ -140,14 +100,14 @@ def test_failover_on_shard_loss_and_ring_eviction(tier):
     # Kill shard 0 abruptly: connection errors must fail over to the
     # survivor immediately, without waiting for the health loop.
     shards[0].stop()
-    survivor = router.specs[1].shard_id
+    lost, survivor = router.backend.shards
     with router.client() as client:
         for value in range(8):
             seen = _routed_shards(client, "print(%d)\n" % value)
             assert seen[-1] == survivor
         stats = client.status()
     assert stats["jobs"]["completed"] == 8
-    assert not stats["shards"][router.specs[0].shard_id]["healthy"]
+    assert not stats["shards"][lost]["healthy"]
     assert stats["ring"]["nodes"] == [survivor]
 
 
@@ -155,18 +115,18 @@ def test_health_loop_restores_a_returning_shard(tmp_path):
     shard_dir = tmp_path / "shard-0"
     shard_dir.mkdir()
     shard = Harness(shard_dir).start()
-    router = RouterHarness(tmp_path, [shard],
-                           fail_threshold=1).start()
-    shard_id = router.specs[0].shard_id
+    router = router_harness(tmp_path, [shard],
+                            fail_threshold=1).start()
+    [shard_id] = router.backend.shards
     try:
         shard.stop()
         deadline = time.monotonic() + 10
-        while router.router.shards[shard_id].healthy:
+        while router.backend.shards[shard_id].healthy:
             assert time.monotonic() < deadline, "never evicted"
             time.sleep(0.05)
         # Same socket path, fresh daemon: the probe loop must re-add it.
         shard = Harness(shard_dir).start()
-        while not router.router.shards[shard_id].healthy:
+        while not router.backend.shards[shard_id].healthy:
             assert time.monotonic() < deadline, "never restored"
             time.sleep(0.05)
         with router.client() as client:
@@ -204,8 +164,7 @@ def test_status_aggregates_shards_and_cache_tier(tier):
     assert stats["role"] == "router"
     assert stats["cache_tier"]["coherent"]
     members = stats["cache_tier"]["members"]
-    assert set(members) == {"router"} \
-        | {spec.shard_id for spec in router.specs}
+    assert set(members) == {"router"} | set(router.backend.shards)
     roots = {member["root"] for member in members.values()}
     assert len(roots) == 1
 
@@ -215,7 +174,7 @@ def test_drain_finishes_inflight_and_rejects_new(tmp_path):
     shard_dir = tmp_path / "shard-0"
     shard_dir.mkdir()
     shard = gated_harness(shard_dir, release, calls)
-    router = RouterHarness(tmp_path, [shard]).start()
+    router = router_harness(tmp_path, [shard]).start()
     routed = threading.Event()
     box = {}
 
@@ -258,7 +217,7 @@ def test_saturated_single_shard_surfaces_busy_with_retry_after(tmp_path):
     shard_dir = tmp_path / "shard-0"
     shard_dir.mkdir()
     shard = gated_harness(shard_dir, release, calls, queue_depth=1)
-    router = RouterHarness(tmp_path, [shard], busy_retries=0).start()
+    router = router_harness(tmp_path, [shard], busy_retries=0).start()
     outcomes = []
 
     def submit(index):
@@ -283,7 +242,7 @@ def test_saturated_single_shard_surfaces_busy_with_retry_after(tmp_path):
         thread = threading.Thread(target=submit, args=(1,), daemon=True)
         thread.start()
         threads.append(thread)
-        while shard.service.stats()["queued"] < 1:
+        while shard.backend.stats()["queued"] < 1:
             assert time.monotonic() < deadline, "second never queued"
             time.sleep(0.01)
         with pytest.raises(ServeBusy) as excinfo:
@@ -298,3 +257,26 @@ def test_saturated_single_shard_surfaces_busy_with_retry_after(tmp_path):
                for outcome in outcomes)
     router.stop()
     shard.stop()
+
+
+def test_over_cap_reply_is_relayed_without_evicting_the_shard(tmp_path):
+    shard_dir = tmp_path / "shard-0"
+    shard_dir.mkdir()
+    shard = Harness(shard_dir).start()
+    router = router_harness(tmp_path, [shard]).start()
+    try:
+        with shard.client() as client:
+            with pytest.raises(ServeError) as direct:
+                client.run("lua", OVER_CAP_SOURCE)
+        with router.client() as client:
+            with pytest.raises(ServeError) as routed:
+                client.run("lua", OVER_CAP_SOURCE)
+            assert client.run("lua", "print(1)\n").output == "1\n"
+            stats = client.status()
+    finally:
+        router.stop()
+        shard.stop()
+    assert (routed.value.code, routed.value.message) \
+        == (direct.value.code, direct.value.message)
+    assert stats["jobs"]["shards_evicted"] == 0
+    assert stats["ring"]["nodes"] == list(router.backend.shards)

@@ -22,8 +22,8 @@ from repro.bench.runner import clear_cache
 from repro.schema import SCHEMA_VERSION
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
-from repro.serve.router import ShardSpec, route
-from repro.serve.server import ExecutionServer, ExecutionService, serve
+from repro.serve.router import Router, ShardSpec, route
+from repro.serve.server import ExecutionService, FrontEnd, serve
 
 
 @pytest.fixture(autouse=True)
@@ -35,20 +35,23 @@ def isolated_cache(tmp_path):
 
 
 class Harness:
-    """An in-process daemon on a background thread."""
+    """A :class:`FrontEnd` over ``backend`` on a background thread;
+    the backend defaults to an inline-pool :class:`ExecutionService`
+    built from ``service_kwargs``."""
 
-    def __init__(self, tmp_path, **service_kwargs):
-        service_kwargs.setdefault("workers", 0)
-        self.socket_path = str(tmp_path / "serve.sock")
-        self.service = ExecutionService(**service_kwargs)
+    def __init__(self, tmp_path, backend=None, **service_kwargs):
+        if backend is None:
+            service_kwargs.setdefault("workers", 0)
+            backend = ExecutionService(**service_kwargs)
+        self.backend = backend
+        self.socket_path = str(tmp_path / "front.sock")
         self._ready = threading.Event()
         self.exited = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
         async def main():
-            server = ExecutionServer(self.service,
-                                     socket_path=self.socket_path)
+            server = FrontEnd(self.backend, socket_path=self.socket_path)
             await server.start()
             self._ready.set()
             await server.serve_until_stopped()
@@ -57,7 +60,7 @@ class Harness:
 
     def start(self):
         self._thread.start()
-        assert self._ready.wait(10), "server never came up"
+        assert self._ready.wait(10), "front end never came up"
         return self
 
     def client(self, timeout=120.0):
@@ -70,7 +73,7 @@ class Harness:
                     client.drain()
             except (OSError, ServeError):
                 pass
-        assert self.exited.wait(30), "server never drained"
+        assert self.exited.wait(30), "front end never drained"
 
 
 @pytest.fixture
@@ -88,6 +91,20 @@ def gated_harness(tmp_path, release, calls, **kwargs):
         assert release.wait(60), "test never released the executor"
         return api.execute_payload(payload)
     return Harness(tmp_path, inline_fn=gated, **kwargs).start()
+
+
+def router_harness(tmp_path, shards, **router_kwargs):
+    """A :class:`Harness` routing over already-started shard
+    harnesses."""
+    router_kwargs.setdefault("health_interval", 0.2)
+    router_kwargs.setdefault("backoff", 0.05)
+    specs = [ShardSpec(socket_path=shard.socket_path) for shard in shards]
+    return Harness(tmp_path, Router(specs, **router_kwargs))
+
+
+#: A program whose output alone is one byte over the frame cap.
+OVER_CAP_SOURCE = ('local s = string.rep("x", %d)\nprint(s .. s .. s)\n'
+                   % (protocol.MAX_FRAME_BYTES // 3 + 1))
 
 
 # -- basics ------------------------------------------------------------------
@@ -180,6 +197,59 @@ def test_malformed_frame_answered(harness):
     assert reply["code"] == protocol.ERR_MALFORMED
 
 
+def _frame_line(**fields):
+    fields.setdefault("version", SCHEMA_VERSION)
+    return json.dumps(fields).encode() + b"\n"
+
+
+@pytest.mark.parametrize("role", ("serve", "route"))
+def test_protocol_edges_answered_on_one_connection(tmp_path, role):
+    """Each bad frame gets its typed error, and the connection still
+    answers a ping afterwards, on either front end."""
+    exchanges = [
+        (b"this is not json\n", ("error", protocol.ERR_MALFORMED, None)),
+        (_frame_line(kind="ping", id=9, version=SCHEMA_VERSION + 1),
+         ("error", protocol.ERR_VERSION, 9)),
+        (_frame_line(kind="teleport", id=10),
+         ("error", protocol.ERR_MALFORMED, 10)),
+        (_frame_line(kind="submit", id=11),
+         ("error", protocol.ERR_MALFORMED, 11)),
+        (_frame_line(kind="ping", id=12), ("pong", None, 12)),
+    ]
+    shard_dir = tmp_path / "shard"
+    shard_dir.mkdir()
+    shard = Harness(shard_dir).start()
+    front = router_harness(tmp_path, [shard]).start() \
+        if role == "route" else shard
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30)
+    try:
+        sock.connect(front.socket_path)
+        with sock.makefile("rb") as replies:
+            for line, expected in exchanges:
+                sock.sendall(line)
+                reply = json.loads(replies.readline())
+                assert (reply["kind"], reply.get("code"), reply["id"]) \
+                    == expected, line
+    finally:
+        sock.close()
+        if front is not shard:
+            front.stop()
+        shard.stop()
+
+
+# -- replies over the frame cap ----------------------------------------------
+
+def test_over_cap_reply_is_an_execution_error(harness):
+    with harness.client() as client:
+        with pytest.raises(ServeError) as excinfo:
+            client.run("lua", OVER_CAP_SOURCE)
+        # The same connection still serves the next request.
+        assert client.run("lua", "print(1)\n").output == "1\n"
+    assert excinfo.value.code == protocol.ERR_EXECUTION
+    assert str(protocol.MAX_FRAME_BYTES) in excinfo.value.message
+
+
 # -- dedup / coalescing ------------------------------------------------------
 
 def test_identical_inflight_requests_coalesce(tmp_path):
@@ -207,7 +277,7 @@ def test_identical_inflight_requests_coalesce(tmp_path):
         second = threading.Thread(target=one, args=(1,))
         second.start()
         deadline = time.monotonic() + 30
-        while harness.service.stats_counters["deduped"] < 1 \
+        while harness.backend.stats_counters["deduped"] < 1 \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
         release.set()
@@ -251,7 +321,7 @@ def test_full_queue_rejects_busy_with_retry_after(tmp_path):
         thread_b = threading.Thread(target=queued)
         thread_b.start()
         deadline = time.monotonic() + 30
-        while harness.service.stats()["queued"] < 1 \
+        while harness.backend.stats()["queued"] < 1 \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
 
@@ -630,7 +700,7 @@ def test_free_socket_path_is_collision_free_across_threads():
 def test_two_concurrent_servers_bind_without_colliding(tmp_path):
     """Two daemons booted at the same instant (as parallel CI jobs
     do) must each get their own socket and both answer pings."""
-    from repro.serve.server import ExecutionServer, free_socket_path
+    from repro.serve.server import free_socket_path
 
     servers, errors = [], []
     ready = threading.Barrier(3, timeout=30)
@@ -638,8 +708,7 @@ def test_two_concurrent_servers_bind_without_colliding(tmp_path):
     def boot():
         async def main():
             service = ExecutionService(workers=0)
-            server = ExecutionServer(service,
-                                     socket_path=free_socket_path())
+            server = FrontEnd(service, socket_path=free_socket_path())
             await server.start()
             stop = asyncio.Event()
             servers.append((server.socket_path, stop,
@@ -692,8 +761,7 @@ def test_socket_path_appears_listening_with_drain_installed(
 
     def ready(server):
         assert os.path.exists(path)
-        (server.service if front_end == "serve"
-         else server.router).begin_drain()
+        server.backend.begin_drain()
 
     async def main():
         asyncio.get_running_loop().add_signal_handler = add_signal_handler
