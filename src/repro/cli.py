@@ -872,7 +872,6 @@ def _cmd_route(args):
     import logging
 
     from repro.serve.router import ShardManager, ShardSpec, route
-    from repro.serve.server import free_socket_path
 
     if not args.shard and not args.shards:
         print("route: give --shard ADDR (repeatable) for existing "
@@ -883,12 +882,12 @@ def _cmd_route(args):
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
-    socket_path, host, port = args.socket, None, None
+    # No --socket (or "auto"): route() picks a collision-free path.
+    socket_path = None if args.socket == "auto" else args.socket
+    host = port = None
     if args.port is not None:
         socket_path, host, port = None, args.host or "127.0.0.1", \
             args.port
-    elif socket_path in (None, "auto"):
-        socket_path = free_socket_path("typedarch-route")
 
     try:
         specs = [ShardSpec.parse(item) for item in args.shard or ()]

@@ -15,7 +15,7 @@ before exit.
 
 * :mod:`repro.serve.server` — the asyncio daemon
   (:class:`ExecutionService`) and the socket front end both roles
-  share (:class:`FrontEnd`),
+  share (:class:`SocketFrontEnd`),
 * :mod:`repro.serve.client` — a small blocking client
   (:class:`ServeClient`), used by ``repro submit``,
 * :mod:`repro.serve.protocol` — the wire format,
@@ -39,13 +39,13 @@ from repro.serve.client import ServeBusy, ServeClient, ServeError, ServeShed
 from repro.serve.hashring import HashRing
 from repro.serve.server import (
     ExecutionService,
-    FrontEnd,
+    SocketFrontEnd,
     default_socket_path,
     free_socket_path,
     serve,
 )
 
-__all__ = ["ExecutionService", "FrontEnd", "ServeClient",
+__all__ = ["ExecutionService", "SocketFrontEnd", "ServeClient",
            "ServeError", "ServeBusy", "ServeShed", "HashRing", "Router",
            "ShardManager", "ShardSpec",
            "ShardSupervisor", "supervised", "ChaosSpec", "run_chaos",

@@ -441,13 +441,12 @@ class LocalTier:
                  supervise=False, supervisor_kwargs=None,
                  router_kwargs=None):
         from repro.serve.router import ShardManager
-        from repro.serve.server import free_socket_path
         self.manager = ShardManager(
             shards, jobs=jobs, queue_depth=queue_depth,
             cache_dir=cache_dir, warm_engines=warm_engines,
             warm_configs=warm_configs, log_dir=log_dir)
-        self.socket_path = socket_path \
-            or free_socket_path("typedarch-route")
+        # None: route() picks a path and :meth:`start` reads it back.
+        self.socket_path = socket_path
         self.health_interval = health_interval
         self.busy_retries = busy_retries
         self.supervise = supervise
@@ -468,13 +467,16 @@ class LocalTier:
             self.supervisor = ShardSupervisor(
                 self.manager, **self.supervisor_kwargs).start()
 
+        def ready(server):
+            self.socket_path = server.socket_path
+            self._ready.set()
+
         def main():
             from repro.serve.router import route
             try:
                 self.router = asyncio.run(route(
                     self.manager.specs, socket_path=self.socket_path,
-                    signals=False,
-                    ready=lambda _server: self._ready.set(),
+                    signals=False, ready=ready,
                     health_interval=self.health_interval,
                     busy_retries=self.busy_retries,
                     supervisor=self.supervisor,

@@ -2,7 +2,7 @@
 
 One router process fronts N ``repro serve`` shards behind the *same*
 socket front end as a single daemon
-(:class:`~repro.serve.server.FrontEnd`), so every existing client
+(:class:`~repro.serve.server.SocketFrontEnd`), so every existing client
 (``repro submit``, :class:`~repro.serve.client.ServeClient`, the load
 generator) works against either unchanged.  What the router adds:
 
@@ -63,7 +63,11 @@ from repro.schema import SCHEMA_VERSION, SchemaError
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
-from repro.serve.server import FrontEnd, cache_tier_stats, free_socket_path
+from repro.serve.server import (
+    SocketFrontEnd,
+    cache_tier_stats,
+    free_socket_path,
+)
 
 _LOG = logging.getLogger("repro.serve.router")
 
@@ -784,8 +788,8 @@ async def route(shards, *, socket_path=None, host=None, port=None,
         socket_path = free_socket_path("typedarch-route")
     router = Router(shards, **router_kwargs)
     router.supervisor = supervisor
-    server = FrontEnd(router, socket_path=socket_path, host=host,
-                      port=port)
+    server = SocketFrontEnd(router, socket_path=socket_path, host=host,
+                            port=port)
     if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
     await server.start()

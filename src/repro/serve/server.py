@@ -27,8 +27,8 @@ Design (see docs/API.md for the wire protocol):
   :mod:`repro.bench.parallel`).
 * **Graceful drain** — SIGTERM (or a ``drain`` frame) stops admission,
   finishes queued and in-flight work, flushes every reply, then exits.
-* **One front end** — :class:`FrontEnd` serves this service and the
-  ``repro route`` router alike; each backend handles only submits.
+* **One front end** — :class:`SocketFrontEnd` serves this service and
+  the ``repro route`` router alike; each backend handles only submits.
 """
 
 import asyncio
@@ -551,7 +551,7 @@ def cache_tier_stats():
     }
 
 
-class FrontEnd:
+class SocketFrontEnd:
     """The socket front end of ``repro serve`` and ``repro route``.
 
     Accepts NDJSON connections and answers ``ping``, ``status``,
@@ -686,13 +686,13 @@ async def serve(service=None, *, socket_path=None, host=None, port=None,
     """Run the daemon until drained (the ``repro serve`` body).
 
     ``ready`` is an optional callback invoked with the started
-    :class:`FrontEnd` (tests and the smoke harness use it to learn the
-    bound address)."""
+    :class:`SocketFrontEnd` (tests and the smoke harness use it to
+    learn the bound address)."""
     if host is None and socket_path is None:
         socket_path = default_socket_path()
     service = service or ExecutionService(**service_kwargs)
-    server = FrontEnd(service, socket_path=socket_path, host=host,
-                      port=port)
+    server = SocketFrontEnd(service, socket_path=socket_path, host=host,
+                            port=port)
     if signals:  # before the socket path appears: SIGTERM must drain
         server.install_signal_handlers()
     await server.start()

@@ -117,7 +117,11 @@ def sweep():
     pool.submit(time.sleep, 60)    # a hung sweep cell
     time.sleep(0.3)
     processes = list(pool._processes.values())
+    # The executor's manager thread reaps the killed worker as well:
+    # let it finish first, so a second waitpid cannot lose the code.
+    manager = pool._executor_manager_thread
     _kill_pool(pool)
+    manager.join(10)
     codes = []
     for process in processes:
         process.join(5)

@@ -23,7 +23,7 @@ from repro.schema import SCHEMA_VERSION
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.router import Router, ShardSpec, route
-from repro.serve.server import ExecutionService, FrontEnd, serve
+from repro.serve.server import ExecutionService, SocketFrontEnd, serve
 
 
 @pytest.fixture(autouse=True)
@@ -35,9 +35,9 @@ def isolated_cache(tmp_path):
 
 
 class Harness:
-    """A :class:`FrontEnd` over ``backend`` on a background thread;
-    the backend defaults to an inline-pool :class:`ExecutionService`
-    built from ``service_kwargs``."""
+    """A :class:`SocketFrontEnd` over ``backend`` on a background
+    thread; the backend defaults to an inline-pool
+    :class:`ExecutionService` built from ``service_kwargs``."""
 
     def __init__(self, tmp_path, backend=None, **service_kwargs):
         if backend is None:
@@ -51,7 +51,8 @@ class Harness:
 
     def _run(self):
         async def main():
-            server = FrontEnd(self.backend, socket_path=self.socket_path)
+            server = SocketFrontEnd(self.backend,
+                                    socket_path=self.socket_path)
             await server.start()
             self._ready.set()
             await server.serve_until_stopped()
@@ -708,7 +709,7 @@ def test_two_concurrent_servers_bind_without_colliding(tmp_path):
     def boot():
         async def main():
             service = ExecutionService(workers=0)
-            server = FrontEnd(service, socket_path=free_socket_path())
+            server = SocketFrontEnd(service, socket_path=free_socket_path())
             await server.start()
             stop = asyncio.Event()
             servers.append((server.socket_path, stop,
