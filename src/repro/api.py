@@ -230,16 +230,19 @@ def _vm(engine):
     raise SchemaError("unknown engine %r" % (engine,))
 
 
-def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
-                max_instructions=DEFAULT_MAX_INSTRUCTIONS, attribute=True,
-                telemetry=None):
-    """Compile and execute ``source`` on the simulated machine — the
-    one implementation behind ``run_lua``, ``run_js``,
-    ``run_benchmark`` and the served ``run`` op."""
+def _prepare(engine, source, *, config=BASELINE, machine_config=None,
+             attribute=True, telemetry=None):
+    """Compile ``source`` and build the simulated machine that runs it;
+    returns ``(machine, runtime)``, the guest's output collecting in
+    ``runtime.output``.  The one run set-up behind :func:`_engine_run`,
+    ``repro profile``, fault campaigns and perfbench.
+
+    ``attribute`` attaches the interpreter's per-bytecode attribution
+    map; ``telemetry`` attaches an event bus to the CPU and the
+    machine."""
     from repro.uarch.pipeline import Machine
 
     vm = _vm(engine)
-    started = time.perf_counter()
     cpu, runtime, _program = vm.prepare(source, config)
     attribution = vm.interpreter_program(config)[1] if attribute else None
     if telemetry is not None:
@@ -247,6 +250,19 @@ def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
         attach_cpu(telemetry, cpu)
     machine = Machine(cpu, config=machine_config, attribution=attribution,
                       telemetry=telemetry)
+    return machine, runtime
+
+
+def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
+                max_instructions=DEFAULT_MAX_INSTRUCTIONS, attribute=True,
+                telemetry=None):
+    """Compile and execute ``source`` on the simulated machine — the
+    one implementation behind ``run_lua``, ``run_js``,
+    ``run_benchmark`` and the served ``run`` op."""
+    started = time.perf_counter()
+    machine, runtime = _prepare(
+        engine, source, config=config, machine_config=machine_config,
+        attribute=attribute, telemetry=telemetry)
     counters = machine.run(max_instructions=max_instructions)
     elapsed = time.perf_counter() - started
     if telemetry is not None:
@@ -255,7 +271,7 @@ def _engine_run(engine, source, *, config=BASELINE, machine_config=None,
     return ExecutionResult(
         op="run", engine=engine, config=config,
         output="".join(runtime.output), counters=counters,
-        exit_code=cpu.exit_code, wall_seconds=elapsed,
+        exit_code=machine.cpu.exit_code, wall_seconds=elapsed,
         simulated_mips=mips)
 
 

@@ -103,15 +103,13 @@ def _warm_worker(engines, configs):
     the *parent's* handler instead.  SIGTERM gets its default action
     back, so ``_kill_pool``'s ``terminate()`` stops a hung worker.
     """
+    from repro import api
+
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
     for engine in engines:
-        if engine == "lua":
-            from repro.engines.lua import vm as engine_vm
-        else:
-            from repro.engines.js import vm as engine_vm
         for config in configs:
-            engine_vm.interpreter_program(config)
+            api._vm(engine).interpreter_program(config)
 
 
 def _simulate_cell(cell):

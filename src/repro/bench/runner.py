@@ -16,8 +16,6 @@ from repro.engines import all_configs
 
 ENGINES = ("lua", "js")
 
-_SOURCE_ATTRS = {"lua": "lua_source", "js": "js_source"}
-
 _CACHE = {}
 
 
@@ -107,9 +105,9 @@ def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
         record = cached_record(engine, benchmark, config, scale)
         if record is not None:
             return record
-    source = getattr(spec, _SOURCE_ATTRS[engine])(scale)
-    result = api._engine_run(engine, source, config=config,
-                             telemetry=telemetry, attribute=attribute)
+    result = api._engine_run(engine, spec.source(engine, scale),
+                             config=config, telemetry=telemetry,
+                             attribute=attribute)
     record = RunRecord(engine=engine, benchmark=benchmark, config=config,
                        scale=scale, output=result.output,
                        counters=result.counters,

@@ -23,11 +23,17 @@ class Workload:
     lua_template: str
     js_template: str
 
+    def source(self, engine, scale=None):
+        """The program text for ``engine`` (``"lua"`` or ``"js"``) at
+        ``scale`` (the default scale when ``None``)."""
+        template = {"lua": self.lua_template, "js": self.js_template}[engine]
+        return template % {"n": scale or self.default_scale}
+
     def lua_source(self, scale=None):
-        return self.lua_template % {"n": scale or self.default_scale}
+        return self.source("lua", scale)
 
     def js_source(self, scale=None):
-        return self.js_template % {"n": scale or self.default_scale}
+        return self.source("js", scale)
 
 
 _ACKERMANN_LUA = """

@@ -36,15 +36,19 @@ result cache), ``--smoke`` (tiny deterministic CI variant) and
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
 from repro.bench import cache as result_cache
 from repro.bench import experiments
-from repro.bench.runner import clear_cache, run_benchmark, \
-    verify_outputs_match
+from repro.bench.runner import clear_cache, verify_outputs_match
 from repro.bench.workloads import BENCHMARK_ORDER
 from repro.engines import BASELINE, GATE_CONFIGS, TYPED
+
+
+#: Log line format of ``serve``, ``route`` and ``--router-log``.
+_LOG_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 
 
 def _config_arg(value):
@@ -91,40 +95,33 @@ def _mix_arg(text):
 
 
 def _cmd_run(args):
+    from repro import api
+
     _configure_disk_cache(args)
     if args.smoke and args.scale is None:
         args.scale = 2
-    record = None
+    result = None
     if args.model == "scoreboard":
         from repro.bench.workloads import workload
         from repro.uarch.scoreboard import ScoreboardMachine
-        if args.engine == "lua":
-            from repro.engines.lua import vm as engine_vm
-        else:
-            from repro.engines.js import vm as engine_vm
-        spec = workload(args.benchmark)
-        source = spec.lua_source(args.scale) if args.engine == "lua" \
-            else spec.js_source(args.scale)
-        cpu, runtime, _program = engine_vm.prepare(source, args.config)
+        cpu, runtime, _program = api._vm(args.engine).prepare(
+            workload(args.benchmark).source(args.engine, args.scale),
+            args.config)
         counters = ScoreboardMachine(cpu).run()
         output = "".join(runtime.output)
-        counter_view = counters.as_dict()
     else:
-        record = run_benchmark(args.engine, args.benchmark, args.config,
-                               scale=args.scale,
-                               attribute=not args.no_attribution,
-                               use_cache=not args.fresh)
-        output = record.output
-        counter_view = record.counters.as_dict()
+        result = api.run(args.engine, args.benchmark, config=args.config,
+                         scale=args.scale,
+                         attribute=not args.no_attribution,
+                         use_cache=not args.fresh)
+        output, counters = result.output, result.counters
+    counter_view = counters.as_dict()
     sys.stdout.write(output)
     print("--- counters (%s model) ---" % args.model)
-    for key, value in counter_view.items():
-        if isinstance(value, dict):
-            continue  # per-bytecode breakdowns; see ``profile``
-        print("%-20s %s" % (key, value))
-    if record is not None and record.wall_seconds:
-        print("%-20s %.3f" % ("host_seconds", record.wall_seconds))
-        print("%-20s %.3f" % ("simulated_mips", record.simulated_mips))
+    _print_counters(counter_view)
+    if result is not None and result.wall_seconds:
+        print("%-20s %.3f" % ("host_seconds", result.wall_seconds))
+        print("%-20s %.3f" % ("simulated_mips", result.simulated_mips))
     if args.json:
         _write_json(args.json, {
             "engine": args.engine, "benchmark": args.benchmark,
@@ -132,6 +129,14 @@ def _cmd_run(args):
             "model": args.model, "output": output,
             "counters": counter_view})
     return 0
+
+
+def _print_counters(counter_view):
+    """Print a counters dict's scalars, one per line."""
+    for key, value in counter_view.items():
+        if isinstance(value, dict):
+            continue  # per-bytecode breakdowns; see ``profile``
+        print("%-20s %s" % (key, value))
 
 
 def _progress_printer(event):
@@ -309,21 +314,24 @@ def _cmd_sweep_smoke(args):
     return 0 if ok else 1
 
 
+def _quick_scales(args):
+    """``--quick``'s input scales: every benchmark's default halved
+    (at least 2); ``None`` (the defaults) without the flag."""
+    if not args.quick:
+        return None
+    from repro.bench.workloads import WORKLOADS
+    return {name: max(2, spec.default_scale // 2)
+            for name, spec in WORKLOADS.items()}
+
+
 def _cmd_sweep(args):
     from repro.bench.parallel import run_matrix_parallel
 
     if args.smoke:
         return _cmd_sweep_smoke(args)
     _configure_disk_cache(args)
-    scales = None
-    if args.quick:
-        scales = {name: max(2, spec.default_scale // 2)
-                  for name, spec in
-                  __import__("repro.bench.workloads",
-                             fromlist=["WORKLOADS"]).WORKLOADS.items()}
-
     records = run_matrix_parallel(
-        scales=scales, max_workers=args.jobs,
+        scales=_quick_scales(args), max_workers=args.jobs,
         progress=_progress_printer if args.verbose else None)
     mismatches = verify_outputs_match(records)
     if mismatches:
@@ -366,17 +374,14 @@ def _cmd_sweep(args):
 
 
 def _cmd_trace(args):
-    if args.engine == "lua":
-        from repro.engines.lua import vm as engine_vm
-    else:
-        from repro.engines.js import vm as engine_vm
+    from repro import api
     from repro.bench.workloads import workload
     from repro.sim.trace import BytecodeTracer, InstructionTracer
 
-    spec = workload(args.benchmark)
-    source = spec.lua_source(args.scale) if args.engine == "lua" \
-        else spec.js_source(args.scale)
-    cpu, runtime, program = engine_vm.prepare(source, args.config)
+    engine_vm = api._vm(args.engine)
+    cpu, runtime, program = engine_vm.prepare(
+        workload(args.benchmark).source(args.engine, args.scale),
+        args.config)
     if args.bytecodes:
         _prog, attribution = engine_vm.interpreter_program(args.config)
         entry_points = {
@@ -562,9 +567,7 @@ def _cmd_faults_smoke(args):
     ok = identical and tag_margin and elision_shift
     print("faults smoke: %s" % ("OK" if ok else "FAILED"))
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(serial, handle, indent=1, sort_keys=True)
-        print("wrote %s" % args.json)
+        _write_json(args.json, serial)
     return 0 if ok else 1
 
 
@@ -574,18 +577,12 @@ def _cmd_faults(args):
     if args.smoke:
         return _cmd_faults_smoke(args)
     _configure_disk_cache(args)
-    scales = None
-    if args.quick:
-        scales = {name: max(2, spec.default_scale // 2)
-                  for name, spec in
-                  __import__("repro.bench.workloads",
-                             fromlist=["WORKLOADS"]).WORKLOADS.items()}
     report = run_campaign(
         seed=args.seed, count=args.count or 40,
         engines=tuple(args.engine) if args.engine else ("lua", "js"),
         benchmarks=tuple(args.benchmark) if args.benchmark
         else BENCHMARK_ORDER,
-        scales=scales, max_workers=args.jobs,
+        scales=_quick_scales(args), max_workers=args.jobs,
         progress=_faults_progress if args.verbose else None)
     print(_render_faults_report(report))
     if args.json:
@@ -670,8 +667,9 @@ def _cmd_bench(args):
 
 def _cmd_serve_smoke(args):
     """The serve acceptance harness (``repro serve --smoke``; CI runs
-    it as the ``serve-smoke`` job).  Boots the daemon as a subprocess
-    and checks the three acceptance properties:
+    it as the ``serve-smoke`` job).  Boots the daemon as a one-shard
+    :class:`~repro.serve.router.ShardManager` and checks the three
+    acceptance properties:
 
     1. a ``bench`` request answered from the persistent result cache
        returns ``cached`` without ever building the worker pool,
@@ -681,19 +679,16 @@ def _cmd_serve_smoke(args):
     """
     import json
     import signal as signal_mod
-    import subprocess
     import tempfile
     import threading
-    import time
 
-    import repro
     from repro import api
     from repro.serve.client import ServeClient
+    from repro.serve.router import ShardManager
 
     checks = {}
-    proc = None
+    jobs = 2 if args.jobs is None else args.jobs
     with tempfile.TemporaryDirectory() as tmp:
-        sock = os.path.join(tmp, "serve.sock")
         cache_dir = args.cache_dir or os.path.join(tmp, "cache")
 
         # Seed one bench cell into the disk cache the daemon will use.
@@ -702,30 +697,19 @@ def _cmd_serve_smoke(args):
             seeded = api.run("lua", "fibo", scale=6, config=TYPED)
         clear_cache()
 
-        pkg_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = pkg_root + os.pathsep \
-            + env.get("PYTHONPATH", "")
-        env["REPRO_CACHE_DIR"] = cache_dir
-        jobs = 2 if args.jobs is None else args.jobs
+        manager = ShardManager(1, jobs=jobs, queue_depth=8,
+                               cache_dir=cache_dir,
+                               warm_engines=("lua", "js"), log_dir=tmp)
         try:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
-                 "--socket", sock, "--jobs", str(jobs),
-                 "--queue-depth", "8"],
-                env=env, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT)
-
-            deadline = time.monotonic() + 60
-            while not os.path.exists(sock):
-                if proc.poll() is not None or time.monotonic() > deadline:
-                    out = proc.stdout.read().decode("utf-8", "replace") \
-                        if proc.poll() is not None else ""
-                    print("serve smoke: daemon failed to start\n%s" % out)
-                    return 1
-                time.sleep(0.05)
-
+            manager.start(timeout=60)
+        except RuntimeError as err:
+            log = os.path.join(tmp, "shard-0.log")
+            with open(log, errors="replace") as handle:
+                print("serve smoke: daemon failed to start (%s)\n%s"
+                      % (err, handle.read()))
+            return 1
+        sock = manager.specs[0].socket_path
+        try:
             # 1. Cache hit first: the pool must still be cold after it.
             with ServeClient(socket_path=sock, timeout=120) as client:
                 hit = client.run("lua", "fibo", scale=6, config=TYPED)
@@ -797,9 +781,9 @@ def _cmd_serve_smoke(args):
             thread.start()
             if not started.wait(120):
                 box.setdefault("error", "request never started")
-            proc.send_signal(signal_mod.SIGTERM)
+            manager.procs[0].send_signal(signal_mod.SIGTERM)
             thread.join(300)
-            exit_code = proc.wait(timeout=120)
+            exit_code = manager.procs[0].wait(timeout=120)
             drained = box.get("result")
             checks["sigterm_drains_inflight"] = (
                 drained is not None and drained.ok and exit_code == 0)
@@ -807,11 +791,7 @@ def _cmd_serve_smoke(args):
                 print("serve smoke: drain client error: %s" % box["error"],
                       file=sys.stderr)
         finally:
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            if proc is not None and proc.stdout is not None:
-                proc.stdout.close()
+            manager.stop()
 
     ok = all(checks.values()) and len(checks) == 3
     for name in sorted(checks):
@@ -834,7 +814,7 @@ def _cmd_serve(args):
     _configure_disk_cache(args)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s")
+        format=_LOG_FORMAT)
     workers = 2 if args.jobs is None else args.jobs
     if args.port is not None:
         socket_path, host = None, args.host or "127.0.0.1"
@@ -880,7 +860,7 @@ def _cmd_route(args):
     _configure_disk_cache(args)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s")
+        format=_LOG_FORMAT)
 
     # No --socket (or "auto"): route() picks a collision-free path.
     socket_path = None if args.socket == "auto" else args.socket
@@ -983,27 +963,38 @@ def _render_load_report(report):
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _router_log(path):
+    """``--router-log PATH``: copy the in-process serve tier's log
+    records (the router's) to ``path`` while the block runs."""
+    if not path:
+        yield
+        return
+    import logging
+
+    handler = logging.FileHandler(path, mode="w")
+    handler.setFormatter(logging.Formatter(_LOG_FORMAT))
+    tier_log = logging.getLogger("repro.serve")
+    tier_log.addHandler(handler)
+    if tier_log.level in (logging.NOTSET, logging.WARNING):
+        tier_log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        tier_log.removeHandler(handler)
+        handler.close()
+        print("wrote %s" % path)
+
+
 def _cmd_loadgen(args):
     """``repro loadgen``: synthetic traffic against a router or
     daemon, a ``BENCH_serve.json`` artifact and the SLO gate.
     ``--smoke`` self-boots a 2-shard routed tier (the CI
     ``serve-load`` job)."""
-    import json
-    import logging
     import tempfile
 
     from repro.bench import gate
     from repro.serve import loadgen
-
-    handler = None
-    if args.router_log:
-        handler = logging.FileHandler(args.router_log, mode="w")
-        handler.setFormatter(logging.Formatter(
-            "%(asctime)s %(name)s %(levelname)s %(message)s"))
-        tier_log = logging.getLogger("repro.serve")
-        tier_log.addHandler(handler)
-        if tier_log.level in (logging.NOTSET, logging.WARNING):
-            tier_log.setLevel(logging.INFO)
 
     spec_kwargs = {}
     if args.smoke:
@@ -1029,7 +1020,7 @@ def _cmd_loadgen(args):
     json_path = args.json
     if args.smoke and json_path is None:
         json_path = "BENCH_serve.json"
-    try:
+    with _router_log(args.router_log):
         if args.smoke and args.socket is None and args.port is None:
             shards = args.shards or 2
             with tempfile.TemporaryDirectory() as tmp:
@@ -1069,18 +1060,11 @@ def _cmd_loadgen(args):
                 spec, socket_path=args.socket,
                 host=args.host if args.port else None, port=args.port,
                 drain_check=not args.no_drain)
-    finally:
-        if handler is not None:
-            logging.getLogger("repro.serve").removeHandler(handler)
-            handler.close()
-            print("wrote %s" % args.router_log)
 
     stamped = loadgen.make_report(report)
     print(_render_load_report(report))
     if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(stamped, handle, indent=1, sort_keys=True)
-        print("wrote %s" % json_path)
+        _write_json(json_path, stamped)
     violations, text = gate.check_slo(stamped, **_slo_overrides(args))
     print(text)
     return 1 if violations else 0
@@ -1118,23 +1102,11 @@ def _cmd_chaos(args):
     every request, measure per-fault MTTR, write ``BENCH_chaos.json``
     and hold the chaos SLO gate.  ``--smoke`` pins the CI
     ``chaos-smoke`` configuration."""
-    import json
-    import logging
     import tempfile
 
     from repro.bench import gate
     from repro.serve import chaos as chaos_mod
     from repro.serve import loadgen
-
-    handler = None
-    if args.router_log:
-        handler = logging.FileHandler(args.router_log, mode="w")
-        handler.setFormatter(logging.Formatter(
-            "%(asctime)s %(name)s %(levelname)s %(message)s"))
-        tier_log = logging.getLogger("repro.serve")
-        tier_log.addHandler(handler)
-        if tier_log.level in (logging.NOTSET, logging.WARNING):
-            tier_log.setLevel(logging.INFO)
 
     load_kwargs = {}
     if args.smoke:
@@ -1180,35 +1152,28 @@ def _cmd_chaos(args):
             print("chaos: %d requests classified" % done["count"],
                   file=sys.stderr, flush=True)
 
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cache_dir = args.cache_dir or os.path.join(tmp, "cache")
-            log_dir = args.log_dir or tmp
-            os.makedirs(log_dir, exist_ok=True)
-            # The router thread lives in *this* process: its cache
-            # probe must see the tier's shared root.
-            with result_cache.temporary(cache_dir):
-                clear_cache()
-                print("chaos: booting supervised %d-shard tier "
-                      "(faults: %s)..."
-                      % (spec.shards, ", ".join(spec.faults)),
-                      file=sys.stderr, flush=True)
-                report = chaos_mod.run_chaos(
-                    spec, cache_dir=cache_dir, log_dir=log_dir,
-                    progress=progress)
+    with _router_log(args.router_log), \
+            tempfile.TemporaryDirectory() as tmp:
+        cache_dir = args.cache_dir or os.path.join(tmp, "cache")
+        log_dir = args.log_dir or tmp
+        os.makedirs(log_dir, exist_ok=True)
+        # The router thread lives in *this* process: its cache probe
+        # must see the tier's shared root.
+        with result_cache.temporary(cache_dir):
             clear_cache()
-    finally:
-        if handler is not None:
-            logging.getLogger("repro.serve").removeHandler(handler)
-            handler.close()
-            print("wrote %s" % args.router_log)
+            print("chaos: booting supervised %d-shard tier "
+                  "(faults: %s)..."
+                  % (spec.shards, ", ".join(spec.faults)),
+                  file=sys.stderr, flush=True)
+            report = chaos_mod.run_chaos(
+                spec, cache_dir=cache_dir, log_dir=log_dir,
+                progress=progress)
+        clear_cache()
 
     stamped = chaos_mod.make_chaos_report(report)
     print(chaos_mod.render_report(report))
     if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(stamped, handle, indent=1, sort_keys=True)
-        print("wrote %s" % json_path)
+        _write_json(json_path, stamped)
     violations, text = gate.check_chaos(stamped,
                                         **_chaos_slo_overrides(args))
     print(text)
@@ -1303,10 +1268,7 @@ def _cmd_submit(args):
     if result.coalesced:
         origin += ", coalesced"
     print("--- counters (%s) ---" % origin)
-    for key, value in result.counters.as_dict().items():
-        if isinstance(value, dict):
-            continue  # per-bytecode breakdowns; see ``profile``
-        print("%-20s %s" % (key, value))
+    _print_counters(result.counters.as_dict())
     return 0
 
 

@@ -43,19 +43,6 @@ from repro.schema import require, stamp
 #: the default five targets; the CLI's ``--count`` overrides it.
 DEFAULT_COUNT = 40
 
-_PREPARE = None
-
-
-def _prepare_fn(engine):
-    global _PREPARE
-    if _PREPARE is None:
-        from repro.engines.js import vm as js_vm
-        from repro.engines.lua import vm as lua_vm
-        _PREPARE = {"lua": (lua_vm.prepare, "lua_source"),
-                    "js": (js_vm.prepare, "js_source")}
-    return _PREPARE[engine]
-
-
 def run_injection(task):
     """Worker body: one faulted run, classified against its golden.
 
@@ -68,15 +55,15 @@ def run_injection(task):
     """
     (engine, benchmark, config, scale, spec,
      golden_output, golden_instret, golden_detect) = task
+    from repro import api
     from repro.bench.workloads import workload
-    from repro.uarch.pipeline import Machine
 
-    prepare, source_attr = _prepare_fn(engine)
-    source = getattr(workload(benchmark), source_attr)(scale)
-    cpu, runtime, _program = prepare(source, config)
+    machine, runtime = api._prepare(
+        engine, workload(benchmark).source(engine, scale), config=config,
+        attribute=False)
+    cpu = machine.cpu
     session = FaultSession(cpu, [spec],
                            geometry=tag_geometry(engine)).attach()
-    machine = Machine(cpu)
     budget = watchdog_budget(golden_instret)
     error = None
     try:

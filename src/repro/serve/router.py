@@ -609,8 +609,14 @@ class ShardManager:
 
     Every shard gets a collision-free unix socket under one
     ``mkdtemp`` directory and the same ``REPRO_CACHE_DIR`` (the shared
-    cache tier).  Used by ``repro route --shards N``, the loadgen
-    smoke harness and the CI ``serve-load`` job.
+    cache tier).  Used by ``repro route --shards N``, ``repro serve
+    --smoke`` (one shard), the loadgen smoke harness and the CI
+    ``serve-load`` job.
+
+    :meth:`drain` and :meth:`stop` remove the shard sockets, and the
+    directory too when the shard logs live in ``log_dir``; without a
+    ``log_dir`` the logs are written to that directory, which then
+    stays behind with them.
     """
 
     def __init__(self, count, *, jobs=1, queue_depth=32, cache_dir=None,
@@ -757,7 +763,7 @@ class ShardManager:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 codes.append(proc.wait())
-        self._close_logs()
+        self._clean_up()
         return codes
 
     def stop(self):
@@ -766,7 +772,18 @@ class ShardManager:
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()
+        self._clean_up()
+
+    def _clean_up(self):
+        """Close the logs and remove the sockets, then the socket
+        directory unless the logs are in it."""
         self._close_logs()
+        for spec in self.specs:
+            with contextlib.suppress(OSError):
+                os.unlink(spec.socket_path)
+        if self.log_dir is not None and self.base_dir is not None:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.base_dir)
 
     def _close_log(self, index):
         log = self._logs[index]

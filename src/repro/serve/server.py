@@ -312,7 +312,9 @@ class ExecutionService:
                     result = dict(item[1])
                     if coalesced:
                         result["coalesced"] = True
-                    await send(protocol.result_frame(request_id, result))
+                    if await send(protocol.result_frame(request_id,
+                                                        result)):
+                        self._failed_on_send(job)
                 else:
                     _kind, code, message = item
                     await send(protocol.error_frame(
@@ -500,6 +502,16 @@ class ExecutionService:
             queue.put_nowait(final)
         self._maybe_finish_drain()
 
+    def _failed_on_send(self, job):
+        """The front end sent ``job``'s result as an error (it was over
+        the frame cap): count the job ``failed``, not ``completed``,
+        once however many subscribers it has."""
+        if job.final[0] == "result":
+            job.final = ("error", protocol.ERR_EXECUTION,
+                         "reply too large")
+            self.stats_counters["completed"] -= 1
+            self.stats_counters["failed"] += 1
+
     def reply_done(self):
         """A connection finished (or abandoned) delivering a final
         frame; drain can complete once all replies are out."""
@@ -610,6 +622,9 @@ class SocketFrontEnd:
     # -- per-connection protocol -------------------------------------------
 
     async def _send(self, writer, frame):
+        """Write one frame; returns ``True`` when a terminal reply over
+        the frame cap went out as an ``execution`` error instead."""
+        replaced = False
         try:
             blob = protocol.encode(frame)
         except protocol.ProtocolError as err:
@@ -620,8 +635,10 @@ class SocketFrontEnd:
             blob = protocol.encode(protocol.error_frame(
                 frame["id"], protocol.ERR_EXECUTION,
                 "reply too large: %s" % err))
+            replaced = True
         writer.write(blob)
         await writer.drain()
+        return replaced
 
     async def _handle_connection(self, reader, writer):
         task = asyncio.current_task()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.report import format_table
 from repro.sim.trt import attribution_keys
-from repro.telemetry.core import PROFILE_CATEGORIES, Telemetry, attach_cpu
+from repro.telemetry.core import PROFILE_CATEGORIES, Telemetry
 from repro.telemetry.sinks import ChromeTraceSink, CollectorSink, JsonlSink
 
 #: Slot name used for instructions retired before the first bytecode
@@ -94,10 +94,11 @@ class ProfileResult:
         return sum(row.cycles for row in self.rows)
 
 
-def resolve_target(target, engine=None):
+def resolve_target(target, engine=None, scale=None):
     """Resolve a profile target to ``(engine, source, label)``.
 
-    ``target`` is either a benchmark name from Table 7 or a path to a
+    ``target`` is either a benchmark name from Table 7, built at
+    ``scale`` (its default scale when ``None``), or a path to a
     ``.lua``/``.js`` script (e.g. ``examples/hot_loop.lua``); for a
     path the engine is inferred from the suffix unless given.
     """
@@ -106,9 +107,7 @@ def resolve_target(target, engine=None):
     path = pathlib.Path(target)
     if target in WORKLOADS:
         engine = engine or "lua"
-        spec = WORKLOADS[target]
-        source = spec.lua_source() if engine == "lua" else spec.js_source()
-        return engine, source, target
+        return engine, WORKLOADS[target].source(engine, scale), target
     if path.suffix in (".lua", ".js"):
         if not path.is_file():
             raise FileNotFoundError("no such script: %s" % target)
@@ -185,40 +184,24 @@ def call_inclusive_profile(events, engine):
 
 
 def run_profile(target, engine=None, config="typed", scale=None,
-                chrome_trace=None, events_path=None,
-                max_instructions=200_000_000, collect_events=True):
+                chrome_trace=None, events_path=None):
     """Run one script/benchmark with full telemetry and build the
     profile.  ``chrome_trace``/``events_path`` optionally attach the
     file sinks; ``scale`` only applies to benchmark targets."""
-    engine, source, _label = resolve_target(target, engine)
-    if engine == "lua":
-        from repro.engines.lua import vm as engine_vm
-    else:
-        from repro.engines.js import vm as engine_vm
-    from repro.bench.workloads import WORKLOADS
-    from repro.uarch.pipeline import Machine
+    from repro import api
 
-    if scale is not None and target in WORKLOADS:
-        spec = WORKLOADS[target]
-        source = spec.lua_source(scale) if engine == "lua" \
-            else spec.js_source(scale)
-
-    sinks = []
-    collector = None
-    if collect_events:
-        collector = CollectorSink()
-        sinks.append(collector)
+    engine, source, _label = resolve_target(target, engine, scale)
+    collector = CollectorSink()
+    sinks = [collector]
     if events_path:
         sinks.append(JsonlSink(events_path))
     if chrome_trace:
         sinks.append(ChromeTraceSink(chrome_trace))
     telemetry = Telemetry(sinks=sinks, categories=PROFILE_CATEGORIES)
 
-    cpu, runtime, _program = engine_vm.prepare(source, config)
-    attach_cpu(telemetry, cpu)
-    attribution = engine_vm.interpreter_program(config)[1]
-    machine = Machine(cpu, attribution=attribution, telemetry=telemetry)
-    counters = machine.run(max_instructions=max_instructions)
+    machine, runtime = api._prepare(engine, source, config=config,
+                                    telemetry=telemetry)
+    counters = machine.run(max_instructions=api.DEFAULT_MAX_INSTRUCTIONS)
     telemetry.close()
 
     result = ProfileResult(
@@ -227,10 +210,8 @@ def run_profile(target, engine=None, config="typed", scale=None,
     result.rows = build_rows(counters)
     result.trt_misses = dict(counters.trt_miss_keys)
     result.trt_hits = attribution_keys(
-        getattr(cpu.trt, "hit_keys", None) or {})
-    if collector is not None:
-        result.call_inclusive = call_inclusive_profile(
-            collector.events, engine)
+        getattr(machine.cpu.trt, "hit_keys", None) or {})
+    result.call_inclusive = call_inclusive_profile(collector.events, engine)
     return result
 
 

@@ -229,3 +229,63 @@ def test_cli_trace_parser():
     assert args.bytecodes and args.limit == 10
     args = parser.parse_args(["run", "fibo", "--model", "scoreboard"])
     assert args.model == "scoreboard"
+
+
+def _fresh_fibo(engine, scale):
+    """``(vm, cpu, runtime, program)`` for fibo on a freshly prepared
+    baseline CPU."""
+    from repro.bench.workloads import workload
+    from repro.engines.js import vm as js_vm
+    from repro.engines.lua import vm as lua_vm
+    vm = {"lua": lua_vm, "js": js_vm}[engine]
+    source = getattr(workload("fibo"), "%s_source" % engine)(scale)
+    return (vm,) + tuple(vm.prepare(source, BASELINE))
+
+
+@pytest.mark.parametrize("engine", ["lua", "js"])
+def test_cli_run_scoreboard_end_to_end(tmp_path, capsys, engine):
+    import json
+
+    from repro.cli import main
+    from repro.uarch.scoreboard import ScoreboardMachine
+    path = tmp_path / "run.json"
+    assert main(["run", "fibo", "--scale", "4", "--engine", engine,
+                 "--model", "scoreboard", "--json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    _vm, cpu, runtime, _program = _fresh_fibo(engine, 4)
+    counters = ScoreboardMachine(cpu).run()
+    assert payload["output"] == "".join(runtime.output) == "3\n"
+    assert payload["counters"] == json.loads(json.dumps(counters.as_dict()))
+    assert capsys.readouterr().out.startswith(
+        "3\n--- counters (scoreboard model) ---\n")
+
+
+@pytest.mark.parametrize("bytecodes", [False, True],
+                         ids=["instructions", "bytecodes"])
+def test_cli_trace_end_to_end(tmp_path, capsys, bytecodes):
+    import json
+
+    from repro.cli import main
+    from repro.sim.trace import BytecodeTracer, InstructionTracer
+    path = tmp_path / "trace.json"
+    argv = ["trace", "fibo", "--limit", "8", "--json", str(path)]
+    assert main(argv + (["--bytecodes"] if bytecodes else [])) == 0
+    payload = json.loads(path.read_text())
+    vm, cpu, _runtime, program = _fresh_fibo("lua", 2)
+    if bytecodes:
+        attribution = vm.interpreter_program(BASELINE)[1]
+        tracer = BytecodeTracer(cpu, {
+            program.base + 4 * index: attribution.entry_names[entry]
+            for index, entry in enumerate(attribution.entry_of)
+            if entry >= 0}, limit=8)
+    else:
+        tracer = InstructionTracer(cpu, limit=8)
+    tracer.run(max_instructions=200_000)
+    assert payload["trace"] == tracer.format()
+    if bytecodes:
+        assert payload["counts"] == dict(tracer.counts)
+        assert sum(tracer.counts.values()) > 8
+    else:
+        assert "counts" not in payload
+        assert len(tracer.entries) == 8
+    assert tracer.format() in capsys.readouterr().out

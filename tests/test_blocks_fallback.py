@@ -2,10 +2,14 @@
 falls back to an interpreted step with identical accounting, and the
 failure lands on the telemetry degradation ledger."""
 
+import weakref
+
 import pytest
 
+from repro import api
+from repro.bench.workloads import workload
 from repro.isa.assembler import assemble
-from repro.sim import blocks
+from repro.sim import blocks, traces
 from repro.sim.cpu import Cpu
 from repro.sim.memory import Memory
 from repro.telemetry.core import clear_degradations, degradations
@@ -109,3 +113,58 @@ def test_degraded_single_at_keeps_budget_exact(monkeypatch):
     with pytest.raises(ExecutionLimitExceeded):
         machine.run(max_instructions=7)
     assert cpu.instret == 7
+
+
+# -- degraded entries on real cells ------------------------------------------
+
+#: Small cells that between them reach every timing class of
+#: ``_fallback_block``: type misses (tagged-ALU redirects), checked-load
+#: misses, host calls, mispredicted branches, load-use stalls and
+#: D-cache misses.
+DEGRADED_CELLS = [
+    ("lua", "n-body", "typed", 2),
+    ("lua", "n-body", "chklb", 2),
+    ("js", "mandelbrot", "typed", 2),
+    ("lua", "k-nucleotide", "chklb", 2),
+]
+
+#: Counters that must each be non-zero on at least one of the cells.
+TIMING_CLASS_COUNTERS = ("type_misses", "chk_misses", "host_calls",
+                         "branch_mispredicts", "load_use_stalls",
+                         "dcache_misses")
+
+
+def _cell_run(cell, attribute, reference=False):
+    engine, benchmark, config, scale = cell
+    machine, runtime = api._prepare(
+        engine, workload(benchmark).source(engine, scale), config=config,
+        attribute=attribute)
+    run = machine.run_reference if reference else machine.run
+    return "".join(runtime.output), run().as_dict()
+
+
+@pytest.fixture(scope="module")
+def references():
+    return {(cell, attribute): _cell_run(cell, attribute, reference=True)
+            for cell in DEGRADED_CELLS for attribute in (False, True)}
+
+
+@pytest.mark.parametrize("attribute", [False, True],
+                         ids=["plain", "attributed"])
+@pytest.mark.parametrize("cell", DEGRADED_CELLS,
+                         ids=["/".join(map(str, c)) for c in DEGRADED_CELLS])
+def test_degraded_entries_match_the_reference_on_real_cells(
+        monkeypatch, references, cell, attribute):
+    # Fresh tables, so degraded entries never reach another test.
+    monkeypatch.setattr(blocks, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(traces, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(blocks, "_compile_block", _boom)
+    assert _cell_run(cell, attribute) == references[(cell, attribute)]
+    assert any(event["name"] == "block_compile_failed"
+               for event in degradations())
+
+
+def test_degraded_cells_reach_every_timing_class(references):
+    for name in TIMING_CLASS_COUNTERS:
+        assert any(counters[name] > 0
+                   for _output, counters in references.values()), name

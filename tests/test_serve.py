@@ -247,8 +247,11 @@ def test_over_cap_reply_is_an_execution_error(harness):
             client.run("lua", OVER_CAP_SOURCE)
         # The same connection still serves the next request.
         assert client.run("lua", "print(1)\n").output == "1\n"
+        jobs = client.status()["jobs"]
     assert excinfo.value.code == protocol.ERR_EXECUTION
     assert str(protocol.MAX_FRAME_BYTES) in excinfo.value.message
+    # The shard counts the over-cap job as its client saw it: failed.
+    assert (jobs["completed"], jobs["failed"]) == (1, 1)
 
 
 # -- dedup / coalescing ------------------------------------------------------

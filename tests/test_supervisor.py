@@ -234,6 +234,30 @@ def test_respawn_refuses_a_live_shard(manager):
         manager.respawn(0)
 
 
+@pytest.mark.parametrize("finish", ["drain", "stop"])
+def test_manager_removes_its_socket_directory(tmp_path, finish):
+    from repro.serve.router import ShardManager
+    instance = ShardManager(1, cache_dir=str(tmp_path / "cache"),
+                            log_dir=str(tmp_path)).start()
+    base_dir = instance.base_dir
+    assert os.path.isdir(base_dir)
+    getattr(instance, finish)()
+    assert not os.path.exists(base_dir)
+    assert (tmp_path / "shard-0.log").is_file()
+
+
+def test_manager_keeps_its_directory_when_the_logs_are_in_it():
+    import shutil
+
+    from repro.serve.router import ShardManager
+    instance = ShardManager(1).start()
+    try:
+        instance.drain()
+        assert os.listdir(instance.base_dir) == ["shard-0.log"]
+    finally:
+        shutil.rmtree(instance.base_dir, ignore_errors=True)
+
+
 def test_supervisor_heals_a_sigkilled_shard(manager):
     supervisor = ShardSupervisor(manager, poll_interval=0.05,
                                  backoff=0.1, probe_timeout=2.0).start()

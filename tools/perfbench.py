@@ -56,7 +56,6 @@ from repro.bench.workloads import BENCHMARK_ORDER, workload  # noqa: E402
 from repro.engines import CONFIGS  # noqa: E402
 from repro.sim.blocks import block_table  # noqa: E402
 from repro.sim.traces import trace_table  # noqa: E402
-from repro.uarch.pipeline import Machine  # noqa: E402
 
 #: Artifact family for ``BENCH_simperf.json`` (see repro.schema).
 ARTIFACT_KIND = "simperf"
@@ -103,13 +102,11 @@ def _run(engine, source, config, reference=False, attribute=False):
     The reference columns call ``Machine.run_reference``, the others
     ``Machine.run`` (which picks the trace engine, or the block engine
     under attribution); all are timed over the span
-    ``api._engine_run`` times, guest compile and interpreter set-up
-    included."""
+    ``api._engine_run`` times, its ``api._prepare`` set-up (guest
+    compile and interpreter assembly) included."""
     started = time.perf_counter()
-    vm = api._vm(engine)
-    cpu, runtime, _program = vm.prepare(source, config)
-    attribution = vm.interpreter_program(config)[1] if attribute else None
-    machine = Machine(cpu, attribution=attribution)
+    machine, runtime = api._prepare(engine, source, config=config,
+                                    attribute=attribute)
     (machine.run_reference if reference else machine.run)(
         api.DEFAULT_MAX_INSTRUCTIONS)
     return machine, "".join(runtime.output), time.perf_counter() - started
@@ -130,7 +127,7 @@ def _measure_cell(engine, benchmark, config, scale):
     attributed run of a cell in a warm sweep process does.
     """
     scale = resolve_scale(benchmark, scale)
-    source = getattr(workload(benchmark), "%s_source" % engine)(scale)
+    source = workload(benchmark).source(engine, scale)
     previous = None
     for _warm in range(MAX_WARM_RUNS):
         seconds = _run(engine, source, config)[2]
