@@ -60,6 +60,7 @@ so one sweep compiles each interpreter's hot blocks exactly once.
 """
 
 import weakref
+from time import perf_counter
 
 from repro.engines.ir import (
     ALU,
@@ -117,6 +118,8 @@ class BlockTable:
         self._attributed = None
         self.compiled = 0
         self.compile_failures = 0
+        #: Host seconds spent compiling this table's blocks and singles.
+        self.compile_seconds = 0.0
         # Full handler/instruction tuples shared by every generated
         # function's default-argument bindings (blocks and traces bind
         # by absolute instruction index).
@@ -142,7 +145,7 @@ class BlockTable:
         instructions long, without caching it (a compile failure
         degrades as in :meth:`block_at`)."""
         try:
-            entry = _compile_block(self, index, max_len)
+            entry = self._compile(index, max_len)
             self.compiled += 1
         except Exception as err:  # noqa: BLE001 — degrade, don't die
             entry = self._degrade(index, err)
@@ -154,11 +157,19 @@ class BlockTable:
         entry = self._singles.get(index)
         if entry is None:
             try:
-                entry = _compile_block(self, index, 1)
+                entry = self._compile(index, 1)
             except Exception as err:  # noqa: BLE001 — degrade, don't die
                 entry = self._degrade(index, err)
             self._singles[index] = entry
         return entry
+
+    def _compile(self, index, max_len):
+        """:func:`_compile_block`, timed into :attr:`compile_seconds`."""
+        started = perf_counter()
+        try:
+            return _compile_block(self, index, max_len)
+        finally:
+            self.compile_seconds += perf_counter() - started
 
     def attributed(self, attribution):
         """This table's :class:`AttributedUnits` for ``attribution``.
@@ -341,6 +352,13 @@ class _Emitter:
         # re-fetches of the MRU line are guaranteed hits — including
         # across chained branches and jumps.
         self.prev_pc = None
+        # Registers this unit has already made untyped (``T = 0xFF``,
+        # ``F = 0``) since its last handler call: a later untyped write
+        # to one of them skips both stores, which would rewrite the
+        # values already there.  A handler call may write any register
+        # and empties the set; a typed write (``tld``, tagged ALU)
+        # removes its destination.
+        self.untyped = set()
         self.k = 0          # instructions emitted so far
 
     def emit_exit(self, executed, prev_value, indent, exit_pc=None):
@@ -368,11 +386,20 @@ class _Emitter:
     def _call(self, index):
         """Bind handler/instruction ``index`` as default arguments (once
         per index) and return the call expression."""
+        self.untyped.clear()
         if index not in self._bound:
             self._bound.add(index)
             self.sig.append("h%d=_h[%d]" % (index, index))
             self.sig.append("i%d=_i[%d]" % (index, index))
         return "h%d(cpu, i%d)" % (index, index)
+
+    def _untype(self, rd):
+        """Emit the untyped-result stores for ``rd`` unless the unit
+        already made it untyped (see :attr:`untyped`)."""
+        if rd not in self.untyped:
+            self.untyped.add(rd)
+            self.body.append("    T[%d] = %d" % (rd, _UNTYPED))
+            self.body.append("    F[%d] = 0" % rd)
 
     # -- inline expansions of the stateful helpers ----------------------
 
@@ -534,8 +561,7 @@ class _Emitter:
             if i.rd:
                 uses.add("regs")
                 body.append("    V[%d] = %d" % (i.rd, pc + 4))
-                body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
-                body.append("    F[%d] = 0" % i.rd)
+                self._untype(i.rd)
             target = (pc + i.imm) & _M
             # fe.direct_jump inline: RAS push for calls, fused BTB
             # lookup+update, a one-cycle charge on a BTB miss.
@@ -557,8 +583,7 @@ class _Emitter:
                         % (i.rs1, i.imm, _M - 1))
             if i.rd:
                 body.append("    V[%d] = %d" % (i.rd, pc + 4))
-                body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
-                body.append("    F[%d] = 0" % i.rd)
+                self._untype(i.rd)
             # fe.indirect_jump inline: RAS prediction for returns, else
             # fused BTB lookup+update (and a RAS push for calls), then
             # the mispredict check against the actual target.  The
@@ -606,8 +631,7 @@ class _Emitter:
             self._dc_fused("a", "    ")
             if i.rd:
                 body.append("    V[%d] = x" % i.rd)
-                body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
-                body.append("    F[%d] = 0" % i.rd)
+                self._untype(i.rd)
             prev_next = i.rd or -1
             self.pc_stale = True
         elif mn in STORE_WIDTH:
@@ -707,6 +731,7 @@ class _Emitter:
                 body.append("    V[%d] = x" % i.rd)
                 body.append("    T[%d] = tg & 255" % i.rd)
                 body.append("    F[%d] = 1 if fb else 0" % i.rd)
+                self.untyped.discard(i.rd)
             self._dc_fused("a", "    ")
             body.append("    if m2 is not None:")
             body.append("        if not dc(m2): c += dr(m2)")
@@ -810,6 +835,7 @@ class _Emitter:
                 body.append("        V[%d] = x & %d" % (i.rd, _M))
                 body.append("        T[%d] = o_ & 255" % i.rd)
                 body.append("        F[%d] = 0" % i.rd)
+                self.untyped.discard(i.rd)
             if mn == "xmul":
                 self.pend += lat.mul  # charged on the fast path
             self.pc_stale = True
@@ -818,8 +844,7 @@ class _Emitter:
                 uses.add("regs")
                 body.append("    V[%d] = %s" % (i.rd, ALU[mn] % {
                     "a": i.rs1, "b": i.rs2, "imm": i.imm, "pc": pc}))
-                body.append("    T[%d] = %d" % (i.rd, _UNTYPED))
-                body.append("    F[%d] = 0" % i.rd)
+                self._untype(i.rd)
             # rd == x0: the template is pure, so a dead write is elided.
             self.pc_stale = True
         else:

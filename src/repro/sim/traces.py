@@ -40,6 +40,7 @@ and across sweep cells in one process.
 """
 
 import weakref
+from time import perf_counter
 
 from repro.engines.ir import (
     BRANCH_COND as _BRANCH_COND,
@@ -49,8 +50,30 @@ from repro.engines.ir import (
 )
 from repro.sim.blocks import _Emitter, block_table
 
-#: A block becomes a trace head after this many dispatch-loop entries.
-TRACE_THRESHOLD = 16
+#: A block becomes a trace head after this many dispatch-loop entries:
+#: the break-even point of a rent-or-buy rule, where the head's block
+#: dispatches have cost what compiling its trace would cost.
+#:
+#: * Buy: compiling costs ``c`` per trace instruction, CPython
+#:   ``compile`` time per generated line times lines per instruction.
+#:   Measured on run-hot's six cells (hostbench), 2-vCPU host,
+#:   CPython 3.11: 9.2 us per line, linear in trace length, at 7.8-8.0
+#:   lines per instruction, so ``c`` = 72-73 us.
+#: * Rent: a head dispatched as blocks pays one block dispatch per
+#:   ``l`` instructions of its path that a trace dispatch would fold,
+#:   and a warm trace saves ``s`` per block dispatch it replaces.
+#:   Measured on the same cells, blocks-only and warm trace runs
+#:   interleaved in one process: ``s`` = 1.2-1.35 us (total host time
+#:   saved over the difference in dispatch counts), ``l`` = 9.8
+#:   instructions per block dispatch.
+#:
+#: A trace of ``n`` instructions costs ``n * c`` and repays ``n / l * s``
+#: per head dispatch, so it breaks even after ``c * l / s`` = 520-580
+#: dispatches, whatever its length.  Both ``c`` and ``s`` scale with
+#: CPython's speed, so the ratio carries across hosts.  At the former
+#: 16, run-hot's two warm-up rounds compiled 143 traces (170k generated
+#: lines); at 512 they compile 66 (67k).
+TRACE_THRESHOLD = 512
 
 #: Recording stops after this many chained blocks even without closing
 #: the loop back to the head.
@@ -134,6 +157,9 @@ class TraceTable:
         self.trace_instructions = 0
         self.trace_failures = 0
         self.retired = 0
+        #: Host seconds spent planning and compiling traces (block
+        #: compiles during recording count on :attr:`blocks`).
+        self.compile_seconds = 0.0
 
     def entry_at(self, index):
         """Install and return the block-engine entry for ``index``."""
@@ -194,6 +220,7 @@ class TraceTable:
             key = tuple(path)
             compiled = per_head.get(key)
             if compiled is None and len(per_head) < MAX_TRACES_PER_HEAD:
+                started = perf_counter()
                 try:
                     segments = _plan(self.blocks, path)
                     if len(segments) > 1:
@@ -215,6 +242,7 @@ class TraceTable:
                         "blocks": len(path),
                         "error": "%s: %s" % (type(err).__name__, err),
                     })
+                self.compile_seconds += perf_counter() - started
         if compiled is None:
             self.entries[head] = self.blocks.block_at(head)
         else:
@@ -374,8 +402,17 @@ def _compile_trace(blocks, segments):
 
 
 # One table per (program, machine config, guest workload), keyed weakly
-# on the program like blocks._TABLES.
+# on the program like blocks._TABLES.  Each program's dict is kept in
+# least-recently-used order.
 _TABLES = weakref.WeakKeyDictionary()
+
+#: Trace tables kept per interpreter program; the least recently used
+#: is evicted first.  An interpreter program is cached for the life of
+#: the process, so without a bound a long-lived worker kept one table
+#: per distinct guest it ever ran.  16 exceeds the 11 benchmarks, so a
+#: sweep or perfbench process keeps one interpreter's whole benchmark
+#: set resident.
+MAX_WORKLOAD_TABLES = 16
 
 
 def trace_table(program, config, workload=None):
@@ -389,15 +426,18 @@ def trace_table(program, config, workload=None):
     engine stamps on the CPU (see ``vm.prepare``).  This mirrors a real
     DBT's per-process code cache: two guests never pollute each other's
     traces, while repeated runs of the same guest (warm-up, sweeps)
-    reuse profiles and compiled traces for free.
+    reuse profiles and compiled traces for free, up to
+    :data:`MAX_WORKLOAD_TABLES` guests per program.
     """
     per_program = _TABLES.get(program)
     if per_program is None:
         per_program = {}
         _TABLES[program] = per_program
     key = (config, workload)
-    table = per_program.get(key)
+    table = per_program.pop(key, None)
     if table is None:
         table = TraceTable(program, config)
-        per_program[key] = table
+        if len(per_program) >= MAX_WORKLOAD_TABLES:
+            del per_program[next(iter(per_program))]
+    per_program[key] = table  # (re)inserted last: most recently used
     return table

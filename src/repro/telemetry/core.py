@@ -50,8 +50,11 @@ PROFILE_CATEGORIES = frozenset(CATEGORIES - {"retire"})
 # worker quarantined to the serial path, a cache entry moved aside) fire
 # on paths where no Telemetry bus is attached — the trace engine only
 # runs when telemetry is *off*.  They report here instead: a bounded
-# process-wide ledger plus a one-line ``logging`` warning, so a degraded
+# process-wide ledger plus a one-line ``logging`` record, so a degraded
 # run is never silent but also never crashes or grows without bound.
+# The first event of each name logs a warning and the rest log at
+# debug level: a run whose block compiles fail degrades every entry it
+# reaches, and one warning line per entry would flood the log.
 
 import logging
 
@@ -62,10 +65,14 @@ DEGRADATION_LIMIT = 256
 
 _DEGRADATIONS = []
 
+#: Degradation names already logged at WARNING level.
+_WARNED = set()
+
 
 def record_degradation(event):
     """Record one degradation event (a plain dict with at least
-    ``name``) in the process-wide ledger and log it once.
+    ``name``) in the process-wide ledger and log it: at WARNING for the
+    first event of its name, at DEBUG after that.
 
     Any attached bus can mirror the ledger by passing ``telemetry`` —
     callers that have a live bus emit there as well.
@@ -75,9 +82,12 @@ def record_degradation(event):
     if len(_DEGRADATIONS) >= DEGRADATION_LIMIT:
         del _DEGRADATIONS[0]
     _DEGRADATIONS.append(event)
-    _LOG.warning("degraded: %s (%s)", event.get("name"),
-                 ", ".join("%s=%s" % (k, v) for k, v in sorted(event.items())
-                           if k not in ("cat", "name")))
+    name = event.get("name")
+    level = logging.DEBUG if name in _WARNED else logging.WARNING
+    _WARNED.add(name)
+    _LOG.log(level, "degraded: %s (%s)", name,
+             ", ".join("%s=%s" % (k, v) for k, v in sorted(event.items())
+                       if k not in ("cat", "name")))
     return event
 
 
@@ -87,7 +97,9 @@ def degradations():
 
 
 def clear_degradations():
+    """Empty the ledger; the next event of each name warns again."""
     _DEGRADATIONS.clear()
+    _WARNED.clear()
 
 
 def _zero_clock():

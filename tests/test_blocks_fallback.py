@@ -2,6 +2,7 @@
 falls back to an interpreted step with identical accounting, and the
 failure lands on the telemetry degradation ledger."""
 
+import logging
 import weakref
 
 import pytest
@@ -12,7 +13,11 @@ from repro.isa.assembler import assemble
 from repro.sim import blocks, traces
 from repro.sim.cpu import Cpu
 from repro.sim.memory import Memory
-from repro.telemetry.core import clear_degradations, degradations
+from repro.telemetry.core import (
+    DEGRADATION_LIMIT,
+    clear_degradations,
+    degradations,
+)
 from repro.uarch.pipeline import DEFAULT_CONFIG, Machine
 
 
@@ -168,3 +173,28 @@ def test_degraded_cells_reach_every_timing_class(references):
     for name in TIMING_CLASS_COUNTERS:
         assert any(counters[name] > 0
                    for _output, counters in references.values()), name
+
+
+def test_one_warning_per_degradation_name(monkeypatch, caplog):
+    """A run whose block compiles all fail logs one WARNING for
+    ``block_compile_failed`` and the rest of its degraded entries at
+    DEBUG; the ledger still keeps one event per degraded entry."""
+    monkeypatch.setattr(blocks, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(traces, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(blocks, "_compile_block", _boom)
+    caplog.set_level(logging.DEBUG, logger="repro.telemetry")
+    machine, _runtime = api._prepare(
+        "lua", workload("fibo").source("lua", 2), config="typed",
+        attribute=False)
+    machine.run()
+    degraded = blocks.block_table(machine.cpu.program,
+                                  machine.config).compile_failures
+    assert 1 < degraded < DEGRADATION_LIMIT
+    records = [record for record in caplog.records
+               if record.getMessage().startswith(
+                   "degraded: block_compile_failed")]
+    assert len(records) == degraded
+    assert [record.levelno for record in records] \
+        == [logging.WARNING] + [logging.DEBUG] * (degraded - 1)
+    assert len([event for event in degradations()
+                if event["name"] == "block_compile_failed"]) == degraded

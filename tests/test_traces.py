@@ -7,21 +7,38 @@ adaptive retire/re-record machinery.  A hypothesis differential
 drives both engines over generated branchy loop programs.
 """
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
+from repro.engines import BASELINE
+from repro.engines.lua import vm as lua_vm
 from repro.isa.assembler import assemble
+from repro.sim import traces
 from repro.sim.cpu import Cpu
 from repro.sim.errors import ExecutionLimitExceeded
 from repro.sim.memory import Memory
 from repro.sim.traces import (
+    MAX_WORKLOAD_TABLES,
     TRACE_EVAL_WINDOW,
     TRACE_THRESHOLD,
     trace_table,
 )
 from repro.telemetry import Telemetry
 from repro.uarch.pipeline import DEFAULT_CONFIG, Machine
+
+#: The formation point the mechanism tests pin: they check how traces
+#: work, not when they form, and their loops run a few hundred times.
+PINNED_THRESHOLD = 16
+
+
+@pytest.fixture
+def pinned_threshold(monkeypatch):
+    monkeypatch.setattr(traces, "TRACE_THRESHOLD", PINNED_THRESHOLD)
+    return PINNED_THRESHOLD
 
 
 def _machine(text, **kwargs):
@@ -77,7 +94,39 @@ even:
 
 # -- formation -------------------------------------------------------------------
 
-def test_trace_forms_on_hot_loop():
+# A two-block loop (the always-taken `beq` splits it) whose head runs
+# once per iteration; the `jal` ends the entry block before the loop.
+_TWO_BLOCK_LOOP = """
+    li a0, %d
+    jal zero, loop
+loop:
+    addi a1, a1, 1
+    beq zero, zero, mid
+    addi a1, a1, 99
+mid:
+    addi a0, a0, -1
+    bne a0, zero, loop
+    ebreak
+"""
+
+
+def test_production_threshold_forms_a_trace_at_the_threshold():
+    """The head's block dispatches up to ``TRACE_THRESHOLD - 1`` compile
+    nothing; the ``TRACE_THRESHOLD``-th records and compiles exactly
+    one trace."""
+    for dispatches, formed in ((TRACE_THRESHOLD - 1, 0),
+                               (TRACE_THRESHOLD, 1)):
+        cpu, machine = _machine(_TWO_BLOCK_LOOP % dispatches)
+        machine.run(max_instructions=1_000_000)
+        table = trace_table(cpu.program, DEFAULT_CONFIG)
+        head = (cpu.program.labels["loop"] - cpu.program.base) >> 2
+        assert table.counts[head] == dispatches
+        assert table.traces == formed
+        assert (table.entries[head] is not table.blocks.block_at(head)) \
+            == bool(formed)
+
+
+def test_trace_forms_on_hot_loop(pinned_threshold):
     cpu, machine = _machine(_HOT_LOOP)
     machine.run(max_instructions=100_000)
     table = trace_table(cpu.program, DEFAULT_CONFIG)
@@ -102,6 +151,26 @@ def test_trace_tables_keyed_per_workload():
     assert trace_table(program, DEFAULT_CONFIG, workload="guest-a") is a
     # The expensive predecode layer underneath stays shared.
     assert a.blocks is b.blocks is shared.blocks
+
+
+def test_trace_tables_bounded_per_program(monkeypatch):
+    """A long-lived process keeps at most MAX_WORKLOAD_TABLES trace
+    tables per interpreter program, evicting the least recently used;
+    a re-run of an evicted guest rebuilds its table with identical
+    counters."""
+    monkeypatch.setattr(traces, "_TABLES", weakref.WeakKeyDictionary())
+    sources = ["print(%d)\n" % n for n in range(40)]
+    first = api.run("lua", sources[0], attribute=False)
+    for source in sources[1:]:
+        assert api.run("lua", source, attribute=False).ok
+    program = lua_vm.interpreter_program(BASELINE)[0]
+    kept = traces._TABLES[program]
+    assert len(kept) <= MAX_WORKLOAD_TABLES
+    assert [workload for _config, workload in kept] \
+        == sources[-MAX_WORKLOAD_TABLES:]
+    again = api.run("lua", sources[0], attribute=False)
+    assert again.output == first.output == "0\n"
+    assert again.counters.as_dict() == first.counters.as_dict()
 
 
 def test_trace_counters_identical_on_hot_loop():
@@ -141,7 +210,7 @@ low:
 """
 
 
-def test_guard_failure_deopt_mid_trace():
+def test_guard_failure_deopt_mid_trace(pinned_threshold):
     outcomes = _run_engines(_PHASE_FLIP)
     _assert_identical(outcomes)
     cpu = outcomes[1][0]
@@ -149,7 +218,7 @@ def test_guard_failure_deopt_mid_trace():
     assert table.traces >= 1  # phase 1 actually compiled a trace
 
 
-def test_phase_change_adapts_with_new_traces():
+def test_phase_change_adapts_with_new_traces(pinned_threshold):
     """After a phase flip the phase-1 trace's first guard fails on
     every dispatch; the runtime adapts by compiling a second trace on
     the newly hot path (the stale one keeps deopting through its side
@@ -164,7 +233,7 @@ def test_phase_change_adapts_with_new_traces():
     assert table.traces >= 2  # phase-1 trace plus a post-flip trace
 
 
-def test_evaluator_retires_below_profit_bar():
+def test_evaluator_retires_below_profit_bar(pinned_threshold):
     """The evaluator's retire path, pinned deterministically: a meter
     reading below ``bar * dispatches`` at the window boundary reverts
     the head to its basic block and schedules re-recording with
@@ -184,7 +253,7 @@ def test_evaluator_retires_below_profit_bar():
     assert table.meta[head] is None
     assert table.entries[head] == table.blocks.block_at(head)
     # Exponential backoff: the head must re-earn hotness from a deficit.
-    assert table.counts[head] == -TRACE_THRESHOLD
+    assert table.counts[head] == -pinned_threshold
 
 
 def test_healthy_trace_graduates_and_never_retires():
@@ -221,12 +290,12 @@ def test_healthy_trace_graduates_and_never_retires():
 
 # -- budget exhaustion inside a trace -------------------------------------------
 
-def test_execution_limit_lands_inside_trace_span():
+def test_execution_limit_lands_inside_trace_span(pinned_threshold):
     """The budget trips at the exact instruction even when the limit
     falls mid-trace: the dispatch loop must degrade to the plain block
     (or a single instruction) rather than overrun."""
     spin = _HOT_LOOP.replace("400", "100000")
-    for limit in (777, TRACE_THRESHOLD * 7 * 3 + 5):
+    for limit in (777, pinned_threshold * 7 * 3 + 5):
         cpus = []
         for run in _ENGINES:
             cpu, machine = _machine(spin)
@@ -307,5 +376,8 @@ def _loop_programs(draw):
        budget=st.one_of(st.none(), st.integers(min_value=50,
                                                max_value=2_000)))
 def test_hypothesis_differential_three_engines(text, budget):
-    _assert_identical(
-        _run_engines(text, max_instructions=budget or 1_000_000))
+    # Pinned formation: these loops run at most 120 times.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "TRACE_THRESHOLD", PINNED_THRESHOLD)
+        _assert_identical(
+            _run_engines(text, max_instructions=budget or 1_000_000))

@@ -2,20 +2,23 @@
 """Simulator-performance benchmark: the reference loop against the
 engines ``Machine.run`` selects.
 
-Runs the figure-5 sweep cells fresh (caches bypassed) in two pairs of
+Runs the figure-5 sweep cells fresh (caches bypassed) in five
 columns:
 
 * attribution off: the per-instruction reference loop
   (``Machine.run_reference``, the ``legacy`` column) against the
-  superblock trace engine (``traces``);
+  superblock trace engine, warm (``traces``) and on the cell's first
+  run (``cold``: empty block and trace tables for its interpreter
+  program, with the seconds spent compiling blocks and traces);
 * attribution on, as every sweep and served request runs: the
   attributed reference loop (``attributed_legacy``) against the
   attributed block engine (``attributed_blocks``).
 
 It reports host wall-clock, simulated MIPS and the per-cell speedups
-plus overall and per-config geometric means.  Along the way it verifies
-that each pair produced bit-identical counters (every attribution
-breakdown included) and output, and that the trace and attributed
+over the matching reference loop, plus overall and per-config
+geometric means.  Along the way it verifies that every compiled run
+produced counters (every attribution breakdown included) and output
+bit-identical to its reference run, and that the trace and attributed
 block engines really ran.
 
 Writes ``BENCH_simperf.json`` (override with ``--out``), stamped with
@@ -34,10 +37,11 @@ Usage:
     PYTHONPATH=src python tools/perfbench.py [--smoke] [--out PATH]
         [--configs A,B,..] [--compare PRIOR] [--min-speedup X]
 
-Exit status is non-zero when any cell's counters differ within a pair
-or its trace or attributed block engine did not run cleanly, when
-either speedup geomean is under ``--min-speedup``, or when
-``--compare`` is given an unusable prior artifact.
+Exit status is non-zero when any cell's counters differ from its
+reference run (the cold run included) or its trace or attributed block
+engine did not run cleanly, when the warm trace or attributed block
+speedup geomean is under ``--min-speedup``, or when ``--compare`` is
+given an unusable prior artifact.
 """
 
 import argparse
@@ -112,22 +116,50 @@ def _run(engine, source, config, reference=False, attribute=False):
     return machine, "".join(runtime.output), time.perf_counter() - started
 
 
+def _cold_run(engine, source, config):
+    """The cell's first run: ``Machine.run`` on empty block and trace
+    tables for its interpreter program, which is already assembled.
+
+    The program's shared tables are set aside for the run and put back
+    after it, so the other columns run as if it had not happened.
+    Returns ``(machine, output, seconds, block compile seconds, trace
+    compile seconds)``."""
+    from repro.sim import blocks, traces
+
+    program = api._vm(engine).interpreter_program(config)[0]
+    shared = (blocks._TABLES, traces._TABLES)
+    kept = [tables.pop(program, None) for tables in shared]
+    try:
+        machine, output, seconds = _run(engine, source, config)
+        table = trace_table(program, machine.config, source)
+        return (machine, output, seconds, table.blocks.compile_seconds,
+                table.compile_seconds)
+    finally:
+        for tables, entry in zip(shared, kept):
+            tables.pop(program, None)
+            if entry is not None:
+                tables[program] = entry
+
+
 def _measure_cell(engine, benchmark, config, scale):
-    """Warm the trace engine, then run one cell on all four columns.
+    """Run one cell cold, warm the trace engine, then run it on the
+    other four columns.
 
     The warm passes (the trace engine only — the reference loop keeps
-    no cross-run state) pay interpreter assembly and block/trace
-    compilation up front, so the measured runs see peak state.  The
-    trace engine warms until converged: profile-driven formation
-    keeps adapting (retiring unprofitable traces, recording the paths
-    hot in later workload phases) for a run or two before its table
-    reaches a fixed point.  The attributed block run gets no warm pass
-    of its own: it runs on the block table the trace engine filled and
-    builds its attribution summaries as it goes, as the first
-    attributed run of a cell in a warm sweep process does.
+    no cross-run state) pay block/trace compilation up front, so the
+    measured runs see peak state.  The trace engine warms until
+    converged: profile-driven formation keeps adapting (retiring
+    unprofitable traces, recording the paths hot in later workload
+    phases) for a run or two before its table reaches a fixed point.
+    The attributed block run gets no warm pass of its own: it runs on
+    the block table the trace engine filled and builds its attribution
+    summaries as it goes, as the first attributed run of a cell in a
+    warm sweep process does.
     """
     scale = resolve_scale(benchmark, scale)
     source = workload(benchmark).source(engine, scale)
+    cold, cold_output, cold_seconds, *cold_compile = _cold_run(
+        engine, source, config)
     previous = None
     for _warm in range(MAX_WARM_RUNS):
         seconds = _run(engine, source, config)[2]
@@ -158,6 +190,9 @@ def _measure_cell(engine, benchmark, config, scale):
         "identical": (traced.counters.as_dict()
                       == reference.counters.as_dict()
                       and traced_output == output),
+        "identical_cold": (cold.counters.as_dict()
+                           == reference.counters.as_dict()
+                           and cold_output == output),
         "identical_attributed": (blocks.counters.as_dict()
                                  == attributed.counters.as_dict()
                                  and blocks_output == attributed_output
@@ -169,15 +204,20 @@ def _measure_cell(engine, benchmark, config, scale):
                        and table.blocks.compile_failures == 0),
         "seconds_legacy": round(seconds, 4),
         "seconds_traces": round(traced_seconds, 4),
+        "seconds_cold": round(cold_seconds, 4),
+        "seconds_cold_block_compile": round(cold_compile[0], 4),
+        "seconds_cold_trace_compile": round(cold_compile[1], 4),
         "seconds_attributed_legacy": round(attributed_seconds, 4),
         "seconds_attributed_blocks": round(blocks_seconds, 4),
         "mips_legacy": round(instructions / seconds / 1e6, 3),
         "mips_traces": round(instructions / traced_seconds / 1e6, 3),
+        "mips_cold": round(instructions / cold_seconds / 1e6, 3),
         "mips_attributed_legacy": round(
             instructions / attributed_seconds / 1e6, 3),
         "mips_attributed_blocks": round(
             instructions / blocks_seconds / 1e6, 3),
         "speedup_traces": _ratio(seconds, traced_seconds),
+        "speedup_cold": _ratio(seconds, cold_seconds),
         "speedup_attributed_blocks": _ratio(attributed_seconds,
                                             blocks_seconds),
     }
@@ -186,6 +226,8 @@ def _measure_cell(engine, benchmark, config, scale):
 def _verdict(row):
     if not row["identical"]:
         return "COUNTER MISMATCH"
+    if not row["identical_cold"]:
+        return "COLD COUNTER MISMATCH"
     if not row["identical_attributed"]:
         return "ATTRIBUTED COUNTER MISMATCH"
     if not row["traces_ran"]:
@@ -199,19 +241,24 @@ def measure(cells, echo=print):
         row = _measure_cell(engine, benchmark, config, scale)
         results.append(row)
         echo("[%3d/%d] %-3s %-15s %-12s  %6.2fs -> %6.2fs  "
-             "traces %5.2fx | attributed %6.2fs -> %6.2fs  "
+             "traces %5.2fx  cold %5.2fx | attributed %6.2fs -> %6.2fs  "
              "blocks %5.2fx  %s"
              % (index + 1, len(cells), engine, benchmark, config,
                 row["seconds_legacy"], row["seconds_traces"],
-                row["speedup_traces"], row["seconds_attributed_legacy"],
+                row["speedup_traces"], row["speedup_cold"],
+                row["seconds_attributed_legacy"],
                 row["seconds_attributed_blocks"],
                 row["speedup_attributed_blocks"], _verdict(row)))
     return results
 
 
-#: Timed columns, and the speedup each compiled engine is gated on.
-_COLUMNS = ("legacy", "traces", "attributed_legacy", "attributed_blocks")
-_SPEEDUPS = ("traces", "attributed_blocks")
+#: Timed columns, the compiled engines' speedups over their reference
+#: loop, and those ``--min-speedup`` gates (a smoke cell's cold run is
+#: mostly compiling, so the cold figure is reported, not gated).
+_COLUMNS = ("legacy", "traces", "cold", "attributed_legacy",
+            "attributed_blocks")
+_SPEEDUPS = ("traces", "cold", "attributed_blocks")
+_GATED = ("traces", "attributed_blocks")
 
 
 def _geomean(values):
@@ -225,12 +272,16 @@ def aggregate(results):
     summary = {
         "cells": len(results),
         "identical": all(cell["identical"] for cell in results),
+        "identical_cold": all(cell["identical_cold"] for cell in results),
         "identical_attributed": all(cell["identical_attributed"]
                                     for cell in results),
         "traces_ran": all(cell["traces_ran"] for cell in results),
         "blocks_ran": all(cell["blocks_ran"] for cell in results),
         "total_instructions": sum(c["instructions"] for c in results),
     }
+    for name in ("block", "trace"):
+        key = "seconds_cold_%s_compile" % name
+        summary["total_" + key] = round(sum(c[key] for c in results), 2)
     for name in _SPEEDUPS:
         summary["geomean_speedup_%s" % name] = round(
             _geomean([c["speedup_%s" % name] for c in results]), 3)
@@ -275,7 +326,8 @@ def compare_with(prior, summary, echo=print):
     echo("\ncomparison against prior artifact (mode=%s, %s cells):"
          % (prior.get("mode"), base.get("cells")))
     for metric in ("geomean_speedup_traces", "geomean_mips_traces",
-                   "mips_traces", "mips_legacy",
+                   "mips_traces", "mips_legacy", "geomean_speedup_cold",
+                   "mips_cold",
                    "geomean_speedup_attributed_blocks",
                    "mips_attributed_blocks", "mips_attributed_legacy"):
         old = base.get(metric)
@@ -305,8 +357,8 @@ def main(argv=None):
                              "stamped artifact (refused when the prior "
                              "is unstamped or version-mismatched)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the traces-vs-reference or "
-                             "the attributed blocks-vs-reference "
+                        help="fail when the warm traces-vs-reference "
+                             "or the attributed blocks-vs-reference "
                              "geomean is below this (e.g. 1.5)")
     args = parser.parse_args(argv)
 
@@ -329,8 +381,8 @@ def main(argv=None):
             return 2
 
     cells = SMOKE_CELLS if args.smoke else full_cells(selected)
-    print("perfbench: %d cells (%s mode), warm + 4-column measure per "
-          "cell..." % (len(cells), "smoke" if args.smoke else "full"))
+    print("perfbench: %d cells (%s mode), cold + warm + 4-column measure "
+          "per cell..." % (len(cells), "smoke" if args.smoke else "full"))
     started = time.time()
     results = measure(cells)
     summary = aggregate(results)
@@ -354,6 +406,12 @@ def main(argv=None):
           % (summary["geomean_speedup_traces"], summary["mips_legacy"],
              summary["mips_traces"],
              "identical" if summary["identical"] else "MISMATCH"))
+    print("cold first run:  traces %.2fx | %.2f MIPS | compile %.2fs "
+          "blocks, %.2fs traces | counters %s"
+          % (summary["geomean_speedup_cold"], summary["mips_cold"],
+             summary["total_seconds_cold_block_compile"],
+             summary["total_seconds_cold_trace_compile"],
+             "identical" if summary["identical_cold"] else "MISMATCH"))
     print("attributed:      blocks %.2fx | %.2f -> %.2f MIPS | "
           "counters %s"
           % (summary["geomean_speedup_attributed_blocks"],
@@ -362,15 +420,17 @@ def main(argv=None):
              "identical" if summary["identical_attributed"]
              else "MISMATCH"))
     for config, stats in summary["per_config"].items():
-        print("  %-12s traces %5.2fx  attributed blocks %5.2fx  "
-              "(%d cells)"
+        print("  %-12s traces %5.2fx  cold %5.2fx  attributed blocks "
+              "%5.2fx  (%d cells)"
               % (config, stats["geomean_speedup_traces"],
+                 stats["geomean_speedup_cold"],
                  stats["geomean_speedup_attributed_blocks"],
                  stats["cells"]))
     if prior is not None:
         compare_with(prior, summary)
 
-    if not (summary["identical"] and summary["identical_attributed"]):
+    if not (summary["identical"] and summary["identical_cold"]
+            and summary["identical_attributed"]):
         print("perfbench: FAILED (counter mismatch)")
         return 1
     if not summary["traces_ran"]:
@@ -381,7 +441,7 @@ def main(argv=None):
               "block engine)")
         return 1
     if args.min_speedup is not None:
-        for name in _SPEEDUPS:
+        for name in _GATED:
             value = summary["geomean_speedup_%s" % name]
             if value < args.min_speedup:
                 print("perfbench: FAILED (%s geomean %.2fx < %.2fx)"
