@@ -34,6 +34,7 @@ thin keyword-only adapters over it (see docs/API.md).
 import hashlib
 import json
 import time
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.engines import BASELINE, all_configs, is_registered
@@ -202,9 +203,16 @@ class ExecutionResult:
     cells: dict = field(default_factory=dict)  # sweep: gate metrics
 
     def as_dict(self):
-        payload = asdict(self)
+        # Built field by field: ``asdict`` would deep-copy the counters
+        # only for them to be replaced by their own flat view.  The
+        # ``error`` and ``cells`` dicts are copied, so the payload
+        # never aliases the result.
+        payload = {spec.name: getattr(self, spec.name)
+                   for spec in fields(self)}
         payload["counters"] = self.counters.as_dict() \
             if self.counters is not None else None
+        payload["error"] = deepcopy(self.error)
+        payload["cells"] = deepcopy(self.cells)
         return stamp(payload)
 
     @classmethod

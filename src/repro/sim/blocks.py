@@ -59,6 +59,7 @@ assembled interpreters are themselves cached per engine configuration,
 so one sweep compiles each interpreter's hot blocks exactly once.
 """
 
+import builtins
 import weakref
 from time import perf_counter
 
@@ -85,6 +86,7 @@ from repro.engines.ir import (
 from repro.isa.extension import TAG_DWORD_DISPLACEMENT
 from repro.sim.cpu import _DISPATCH, _PACK_F64, _PACK_U64
 from repro.sim.errors import IllegalInstruction
+from repro.sim.memory import LOADS, STORES, WIDTH_CODES
 from repro.sim.trt import TRT_OPCODES
 
 
@@ -94,9 +96,9 @@ class BlockTable:
     ``blocks[index]`` holds ``(fn, count)`` — the compiled block entered
     at instruction ``index`` and the instruction count of its full
     (unbailed) execution — or ``None`` before first use.  ``fn`` takes
-    only per-run state (cpu, stall carry, cache/DRAM/front-end/counter
-    objects), so one table serves every run of the same program under
-    the same machine configuration.
+    only per-run state, ``fn(prev, x)``: the load-use stall carry and
+    the run's :func:`unit_state` tuple, so one table serves every run
+    of the same program under the same machine configuration.
     """
 
     def __init__(self, program, config):
@@ -277,6 +279,80 @@ class AttributedUnits:
 _SIGN = 1 << 63
 _UNTYPED = 0xFF  # repro.isa.extension.TYPE_UNTYPED
 
+#: The per-run names every compiled unit binds, in the order of the
+#: state tuple :func:`unit_state` builds: a unit is ``fn(prev, x)`` and
+#: opens by unpacking ``x`` into these locals in one statement.
+#: ``_fallback_block`` reads the first six.
+STATE = ("cpu", "ic", "dc", "dr", "fe", "ct", "icc", "dcc",
+         "V", "T", "F", "D", "msz", "FV",
+         "g_", "gc", "bt", "rs_", "ds", "iss", "tt_", "tg_", "hi_")
+
+_UNPACK = "    %s = x" % ", ".join(STATE)
+
+
+def unit_state(machine):
+    """The state tuple the compiled units of one run of ``machine``
+    take as ``x`` (names and order in :data:`STATE`).
+
+    It holds the CPU and the machine's models with their bound access
+    methods (``ic``/``dc``/``dr``), the register, RAM, gshare, BTB, RAS
+    and cache-set containers the generated code indexes, the TRT with
+    its rule dict's ``get``, and the overflow-trap bound ``hi_``.  One
+    tuple serves the whole run because each of these objects is
+    assigned once by its owner's ``__init__``; the TRT's rule dict is
+    refilled in place by ``set_trt``, ``flush_trt`` and
+    :meth:`~repro.sim.trt.TypeRuleTable.restore`.
+    """
+    cpu = machine.cpu
+    regs = cpu.regs
+    fe = machine.frontend
+    icache = machine.icache
+    dcache = machine.dcache
+    bits = cpu.overflow_bits
+    state = {
+        "cpu": cpu, "ic": icache.access, "dc": dcache.access,
+        "dr": machine.dram.access, "fe": fe, "ct": machine.counters,
+        "icc": icache, "dcc": dcache,
+        "V": regs.value, "T": regs.type, "F": regs.fbit,
+        "D": cpu.mem.data, "msz": cpu.mem.size, "FV": cpu.fregs.bits,
+        "g_": fe.gshare, "gc": fe.gshare.counters, "bt": fe.btb._table,
+        "rs_": fe.ras._stack, "ds": dcache._sets, "iss": icache._sets,
+        "tt_": cpu.trt, "tg_": cpu.trt._rules.get,
+        "hi_": 1 << (bits - 1) if bits else 0,
+    }
+    return tuple(state[name] for name in STATE)
+
+
+def _outside(cpu, pc, retired, addr, width):
+    """The out-of-range branch of every inlined load and store: raise
+    :class:`~repro.sim.errors.MemoryError_` for ``width`` bytes at
+    ``addr``, which lie outside guest RAM.
+
+    ``cpu.pc`` and ``cpu.instret`` are first set to what the reference
+    loop shows at the faulting instruction (the unit had retired
+    ``retired`` instructions); ``Memory`` words the error, and the
+    dispatch loop adds the mnemonic.
+    """
+    cpu.pc = pc
+    cpu.instret += retired
+    cpu.mem.load(addr, width)  # raises: addr + width is past the end
+
+
+#: The generated code's globals, one dict shared by every unit: the
+#: ``struct`` codecs of :mod:`repro.sim.memory` (``LQ(D, a)[0]`` loads
+#: a dword, ``SQ(D, a, v)`` stores one; signed loads use the
+#: lower-case code), the float/bit converters and the fault helper.
+_GLOBALS = {
+    "__builtins__": builtins, "int": int,
+    "TD_": TAG_DWORD_DISPLACEMENT, "OUT": _outside,
+    "UP": _PACK_U64.pack, "UQ": _PACK_U64.unpack,
+    "PF": _PACK_F64.pack, "FU": _PACK_F64.unpack,
+    **{"L" + (WIDTH_CODES[width].lower() if signed
+              else WIDTH_CODES[width]): load
+       for (width, signed), load in LOADS.items()},
+    **{"S" + WIDTH_CODES[width]: store for width, store in STORES.items()},
+}
+
 
 class _Emitter:
     """Per-instruction code generator shared by blocks and traces.
@@ -331,9 +407,11 @@ class _Emitter:
         self.d_shift = config.dcache.line_bytes.bit_length() - 1
         self.d_mask = config.dcache.sets - 1
         self.i_mask = config.icache.sets - 1
-        self.sig = ["cpu", "prev", "ic", "dc", "dr", "fe", "ct", "icc"]
+        self.sig = ["prev", "x"]
         self.body = []
-        self.uses = set()    # which preamble bindings the code needs
+        # Global history lives in a local (``gh``) once a branch has
+        # been inlined: read at entry, flushed back at every later exit.
+        self.history = False
         self._bound = set()  # instruction indices already bound in sig
         # Statically accumulated state, snapshotted at every exit point:
         # cycles, load-use stalls, conditional branches + indirect jumps
@@ -376,9 +454,7 @@ class _Emitter:
             body.append("%sfe.branches += %d" % (indent, self.fe_branches))
         if self.dprobes:
             body.append("%sdcc.accesses += %d" % (indent, self.dprobes))
-        if "gsh" in self.uses:
-            # Global history lives in a local (``gh``) once a branch has
-            # been inlined, and is flushed back at every later exit.
+        if self.history:
             body.append("%sg_.history = gh" % indent)
         body.append("%sreturn c + %d, %d"
                     % (indent, self.pend, prev_value))
@@ -414,13 +490,12 @@ class _Emitter:
         lookup's LRU touch and the update's re-insertion compose to a
         single move-to-MRU, which is what is emitted.)
         """
-        self.uses.add("gsh")
+        self.history = True
         body = self.body
         body.append(A + "gi = (%d ^ gh) & %d"
                     % (pc >> 2, self.gshare_mask))
         body.append(A + "n_ = gc[gi]")
         if taken:
-            self.uses.add("btb")
             body.append(A + "if n_ < 3: gc[gi] = n_ + 1")
             body.append(A + "gh = ((gh << 1) | 1) & %d"
                         % self.history_mask)
@@ -432,7 +507,6 @@ class _Emitter:
             body.append(A + "if n_ > 0: gc[gi] = n_ - 1")
             body.append(A + "gh = (gh << 1) & %d" % self.history_mask)
             body.append(A + "if n_ >= 2:")
-            self.uses.add("btb")
             # btb.lookup(pc) alone: the entry (if any) moves to MRU by
             # dict re-insertion; the prediction is a mispredict either
             # way (predicted taken, was not).
@@ -448,7 +522,6 @@ class _Emitter:
         prediction lands in ``p_``, the entry moves to MRU (dict
         insertion order *is* the LRU order), and the LRU victim — the
         oldest key — is evicted exactly when the original pair would."""
-        self.uses.add("btb")
         body = self.body
         body.append(A + "p_ = bt.get(%d)" % pc)
         body.append(A + "if p_ is None:")
@@ -460,7 +533,6 @@ class _Emitter:
 
     def _ras_push(self, return_address, A):
         """Inline ``ras.push(return_address)``."""
-        self.uses.add("ras")
         body = self.body
         body.append(A + "rs_.append(%d)" % return_address)
         body.append(A + "if len(rs_) > %d: del rs_[0]" % self.ras_entries)
@@ -474,7 +546,6 @@ class _Emitter:
         bulk-credited at the exits (``self.dprobes``), so the fallback
         pre-decrements to compensate for its own count.
         """
-        self.uses.add("dcf")
         self.dprobes += 1
         body = self.body
         body.append(A + "ln = %s >> %d" % (addr, self.d_shift))
@@ -482,6 +553,14 @@ class _Emitter:
         body.append(A + "if not (e_ and e_[-1] == ln):")
         body.append(A + "    dcc.accesses -= 1")
         body.append(A + "    if not dc(%s): c += dr(%s)" % (addr, addr))
+
+    def _in_ram(self, pc, addr, width, A):
+        """Guard an inlined access of ``width`` bytes at ``addr`` by
+        the instruction at ``pc``: past the end of guest RAM (or
+        wrapped past 2**64), :func:`_outside` raises with the
+        reference loop's ``cpu.pc`` and ``cpu.instret``."""
+        self.body.append("%sif %s + %d > msz: OUT(cpu, %d, %d, %s, %d)"
+                         % (A, addr, width, pc, self.k, addr, width))
 
     def _redirect_exit(self, k, A):
         """Inline ``Cpu._type_mispredict`` plus the redirect penalty and
@@ -502,7 +581,6 @@ class _Emitter:
         pc = self.base + 4 * index
         mn = i.mnemonic
         body = self.body
-        uses = self.uses
         lat = self.lat
         k = self.k
         # Base cycle (single-issue in-order) plus the execution unit's
@@ -529,7 +607,6 @@ class _Emitter:
             # The set index and tag are compile-time constants, so even
             # the MRU hit check is inlined; the slow path compensates
             # the bulk access credit.
-            self.uses.add("icf")
             line = pc >> self.line_shift
             body.append("    e_ = iss[%d]" % (line & self.i_mask))
             body.append("    if not (e_ and e_[-1] == %d):" % line)
@@ -541,7 +618,6 @@ class _Emitter:
             # Inline branch: the front end is trained with the same
             # (pc, taken, next-pc) triple, just with constants folded
             # per direction.
-            uses.add("regs")
             target = (pc + i.imm) & _M
             cond = BRANCH_COND[mn] % {"a": i.rs1, "b": i.rs2}
             self.fe_branches += 1
@@ -559,7 +635,6 @@ class _Emitter:
             self.pc_stale = True
         elif mn == "jal":
             if i.rd:
-                uses.add("regs")
                 body.append("    V[%d] = %d" % (i.rd, pc + 4))
                 self._untype(i.rd)
             target = (pc + i.imm) & _M
@@ -577,7 +652,6 @@ class _Emitter:
                 body.append("    cpu.pc = %d" % target)
                 self.emit_exit(k + 1, -1, "    ")
         elif mn == "jalr":
-            uses.add("regs")
             # Target read before the link write (rd may equal rs1).
             body.append("    t = (V[%d] + %d) & %d"
                         % (i.rs1, i.imm, _M - 1))
@@ -592,7 +666,6 @@ class _Emitter:
             # execution continues.
             self.fe_branches += 1
             if i.rd == 0 and i.rs1 == 1:
-                self.uses.add("ras")
                 body.append("    p_ = rs_.pop() if rs_ else None")
             else:
                 self._btb_fused(pc, "t", "    ")
@@ -610,74 +683,49 @@ class _Emitter:
                 body.append("    cpu.pc = t")
                 self.emit_exit(k + 1, -1, "    ")
         elif mn in LOAD_ARGS:
-            uses.add("regs")
-            uses.add("mem")
             width, signed = LOAD_ARGS[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            # In-bounds accesses slice guest RAM (the mmap) directly;
-            # the bounds check routes out-of-range addresses to
-            # Memory.load for the exact MemoryError.
-            uses.add("memf")
-            body.append("    if a + %d > msz:" % width)
-            if signed:
-                body.append("        x = ML(a, %d, True) & %d" % (width, _M))
-                body.append("    else:")
-                body.append("        x = FB(D[a:a+%d], 'little', "
-                            "signed=True) & %d" % (width, _M))
-            else:
-                body.append("        x = ML(a, %d)" % width)
-                body.append("    else:")
-                body.append("        x = FB(D[a:a+%d], 'little')" % width)
-            self._dc_fused("a", "    ")
+            # In-range accesses read guest RAM (the mmap) in place; an
+            # out-of-range address raises through Memory (_outside).
+            self._in_ram(pc, "a", width, "    ")
             if i.rd:
-                body.append("    V[%d] = x" % i.rd)
+                if signed:
+                    load = "L%s(D, a)[0] & %d" % (
+                        WIDTH_CODES[width].lower(), _M)
+                elif width == 1:
+                    load = "D[a]"
+                else:
+                    load = "L%s(D, a)[0]" % WIDTH_CODES[width]
+                body.append("    V[%d] = %s" % (i.rd, load))
                 self._untype(i.rd)
+            self._dc_fused("a", "    ")
             prev_next = i.rd or -1
             self.pc_stale = True
         elif mn in STORE_WIDTH:
-            uses.add("regs")
-            uses.add("mem")
             width = STORE_WIDTH[mn]
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            uses.add("memf")
-            body.append("    if a + %d > msz:" % width)
-            body.append("        MS(a, %d, V[%d])" % (width, i.rs2))
-            body.append("    else:")
+            self._in_ram(pc, "a", width, "    ")
             if width == 1:
-                body.append("        D[a] = V[%d] & 255" % i.rs2)
+                body.append("    D[a] = V[%d] & 255" % i.rs2)
             else:
-                body.append("        D[a:a+%d] = (V[%d] & %d)"
-                            ".to_bytes(%d, 'little')"
-                            % (width, i.rs2, (1 << (8 * width)) - 1, width))
+                body.append("    S%s(D, a, V[%d] & %d)"
+                            % (WIDTH_CODES[width], i.rs2,
+                               (1 << (8 * width)) - 1))
             self._dc_fused("a", "    ")
             self.pc_stale = True
         elif mn == "fld":
             # FP load: same shape as the integer loads, landing in the
             # FP bit file (no type/F-bit bookkeeping on FP registers).
-            uses.add("regs")
-            uses.add("mem")
-            uses.add("memf")
-            uses.add("fregs")
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            body.append("    if a + 8 > msz:")
-            body.append("        x = ML(a, 8)")
-            body.append("    else:")
-            body.append("        x = FB(D[a:a+8], 'little')")
+            self._in_ram(pc, "a", 8, "    ")
+            body.append("    FV[%d] = LQ(D, a)[0]" % i.rd)
             self._dc_fused("a", "    ")
-            body.append("    FV[%d] = x" % i.rd)
             prev_next = i.rd or -1
             self.pc_stale = True
         elif mn == "fsd":
-            uses.add("regs")
-            uses.add("mem")
-            uses.add("memf")
-            uses.add("fregs")
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
-            body.append("    if a + 8 > msz:")
-            body.append("        MS(a, 8, FV[%d])" % i.rs2)
-            body.append("    else:")
-            body.append("        D[a:a+8] = FV[%d].to_bytes(8, 'little')"
-                        % i.rs2)
+            self._in_ram(pc, "a", 8, "    ")
+            body.append("    SQ(D, a, FV[%d])" % i.rs2)
             self._dc_fused("a", "    ")
             self.pc_stale = True
         elif mn == "tld":
@@ -686,16 +734,11 @@ class _Emitter:
             # codec special registers (mutable via setoffset/setshift/
             # setmask) afresh at every execution.  ``m2`` stands in for
             # ``cpu.mem_addr2`` (the tag-plane probe address).
-            uses.add("regs")
-            uses.add("mem")
-            uses.add("memf")
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
             body.append("    cd_ = cpu.codec")
             body.append("    co_ = cd_.offset")
-            body.append("    if a + 8 > msz:")
-            body.append("        vd = ML(a, 8)")
-            body.append("    else:")
-            body.append("        vd = FB(D[a:a+8], 'little')")
+            self._in_ram(pc, "a", 8, "    ")
+            body.append("    vd = LQ(D, a)[0]")
             body.append("    m2 = None")
             body.append("    if co_ & 4:")           # nan_detect
             body.append("        if (vd >> 51) == 8191:")  # nanbox.is_boxed
@@ -716,11 +759,9 @@ class _Emitter:
             body.append("        dp_ = TD_[co_ & 3]")
             body.append("        if dp_:")
             body.append("            m2 = (a + dp_) & %d" % _M)
-            body.append("            if m2 + 8 > msz:")
-            body.append("                td = ML(m2, 8)")
-            body.append("            else:")
-            body.append("                td = FB(D[m2:m2+8], 'little')")
-            body.append("            tg = (td >> cd_.shift) & cd_.mask")
+            self._in_ram(pc, "m2", 8, "            ")
+            body.append("            tg = (LQ(D, m2)[0] >> cd_.shift) "
+                        "& cd_.mask")
             body.append("        else:")
             body.append("            tg = (vd >> cd_.shift) & cd_.mask")
             body.append("        x = vd")
@@ -741,9 +782,6 @@ class _Emitter:
             # Tagged store, fully inlined: mirrors _op_tsd +
             # TagCodec.insert, preserving the functional memory-op
             # order (old-tag load, value store, tag store).
-            uses.add("regs")
-            uses.add("mem")
-            uses.add("memf")
             body.append("    a = (V[%d] + %d) & %d" % (i.rs1, i.imm, _M))
             body.append("    cd_ = cpu.codec")
             body.append("    co_ = cd_.offset")
@@ -755,30 +793,18 @@ class _Emitter:
             body.append("            vd = %d | ((T[%d] & cd_.mask) "
                         "<< cd_.shift) | (V[%d] & %d)"
                         % (8191 << 51, i.rs2, i.rs2, (1 << 47) - 1))
-            body.append("        if a + 8 > msz:")
-            body.append("            MS(a, 8, vd)")
-            body.append("        else:")
-            body.append("            D[a:a+8] = (vd & %d)"
-                        ".to_bytes(8, 'little')" % _M)
+            self._in_ram(pc, "a", 8, "        ")
+            body.append("        SQ(D, a, vd & %d)" % _M)
             body.append("    else:")
             body.append("        ta = (a + TD_[co_ & 3]) & %d" % _M)
-            body.append("        if ta + 8 > msz:")
-            body.append("            otd = ML(ta, 8)")
-            body.append("        else:")
-            body.append("            otd = FB(D[ta:ta+8], 'little')")
+            self._in_ram(pc, "ta", 8, "        ")
             body.append("        fd_ = (cd_.mask & 255) << cd_.shift")
-            body.append("        td = (otd & ~fd_ & %d) | ((T[%d] "
+            body.append("        td = (LQ(D, ta)[0] & ~fd_ & %d) | ((T[%d] "
                         "& cd_.mask) << cd_.shift)" % (_M, i.rs2))
-            body.append("        vd = V[%d]" % i.rs2)
-            body.append("        if a + 8 > msz:")
-            body.append("            MS(a, 8, vd)")
-            body.append("        else:")
-            body.append("            D[a:a+8] = vd.to_bytes(8, 'little')")
-            body.append("        if ta + 8 > msz:")
-            body.append("            MS(ta, 8, td)")
-            body.append("        else:")
-            body.append("            D[ta:ta+8] = (td & %d)"
-                        ".to_bytes(8, 'little')" % _M)
+            self._in_ram(pc, "a", 8, "        ")
+            body.append("        SQ(D, a, V[%d])" % i.rs2)
+            # ``ta`` is unchanged since its guard above.
+            body.append("        SQ(D, ta, td & %d)" % _M)
             body.append("        if not ((co_ & 8) and F[%d]):" % i.rs2)
             body.append("            m2 = ta")       # tag-plane probe
             self._dc_fused("a", "    ")
@@ -793,8 +819,6 @@ class _Emitter:
             # Both mispredict paths replicate Cpu._type_mispredict and
             # exit the unit; the engine-selection guard guarantees
             # telemetry is off and ``trt.lookup`` is not rebound.
-            uses.add("regs")
-            uses.add("trt")
             sym = {"xadd": "+", "xsub": "-", "xmul": "*"}[mn]
             body.append("    k_ = (%d, T[%d], T[%d])"
                         % (TRT_OPCODES[mn], i.rs1, i.rs2))
@@ -841,7 +865,6 @@ class _Emitter:
             self.pc_stale = True
         elif mn in ALU:
             if i.rd:
-                uses.add("regs")
                 body.append("    V[%d] = %s" % (i.rd, ALU[mn] % {
                     "a": i.rs1, "b": i.rs2, "imm": i.imm, "pc": pc}))
                 self._untype(i.rd)
@@ -914,41 +937,16 @@ class _Emitter:
 
     def build(self, filename):
         """Assemble, ``compile`` and ``exec`` the generated function."""
-        lines = ["def _block(%s):" % ", ".join(self.sig), "    c = 0"]
-        uses = self.uses
-        if "regs" in uses:
-            lines.append("    r = cpu.regs")
-            lines.append("    V = r.value; T = r.type; F = r.fbit")
-        if "mem" in uses:
-            lines.append("    m_ = cpu.mem")
-            lines.append("    ML = m_.load; MS = m_.store")
-        if "memf" in uses:
-            lines.append("    D = m_.data; msz = m_.size")
-            lines.append("    FB = int.from_bytes")
-        if "fregs" in uses:
-            lines.append("    FV = cpu.fregs.bits")
-        if "gsh" in uses:
-            lines.append("    g_ = fe.gshare")
-            lines.append("    gc = g_.counters; gh = g_.history")
-        if "btb" in uses:
-            lines.append("    bt = fe.btb._table")
-        if "ras" in uses:
-            lines.append("    rs_ = fe.ras._stack")
-        if "dcf" in uses:
-            lines.append("    dcc = dc.__self__; ds = dcc._sets")
-        if "icf" in uses:
-            lines.append("    iss = icc._sets")
-        if "trt" in uses:
-            lines.append("    tt_ = cpu.trt; tg_ = tt_._rules.get")
-            lines.append("    ob_ = cpu.overflow_bits")
-            lines.append("    hi_ = 1 << (ob_ - 1) if ob_ else 0")
+        lines = ["def _block(%s):" % ", ".join(self.sig), _UNPACK,
+                 "    c = 0"]
+        if self.history:
+            lines.append("    gh = g_.history")
         lines.extend(self.body)
-        namespace = {"_h": self.table._h, "_i": self.table._i, "int": int,
-                     "TD_": TAG_DWORD_DISPLACEMENT,
-                     "UP": _PACK_U64.pack, "UQ": _PACK_U64.unpack,
-                     "PF": _PACK_F64.pack, "FU": _PACK_F64.unpack}
-        exec(compile("\n".join(lines), filename, "exec"), namespace)
-        return namespace["_block"]
+        # The handler/instruction defaults are evaluated at ``def``
+        # time from these locals; the function's globals are shared.
+        local = {"_h": self.table._h, "_i": self.table._i}
+        exec(compile("\n".join(lines), filename, "exec"), _GLOBALS, local)
+        return local["_block"]
 
 
 def _compile_block(table, start, max_len):
@@ -982,7 +980,8 @@ def _fallback_block(table, index):
     mnemonic = instr.mnemonic
     extra = table.extra.get(kind, 0)
 
-    def step(cpu, prev, ic, dc, dr, fe, ct, icc):
+    def step(prev, x):
+        cpu, ic, dc, dr, fe, ct = x[:6]
         cpu.step()
         c = 1
         if prev >= 0:

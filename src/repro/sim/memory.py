@@ -7,17 +7,46 @@ pages a run touches become resident.  The mapping is ``MAP_PRIVATE``
 because the default (``MAP_SHARED``) would let a forked pool worker
 and its parent write the same guest RAM.  An ``mmap`` compares by
 identity: compare contents with ``bytes(memory.data)``.
+
+Loads and stores go through little-endian ``struct`` codecs that read
+and write the mapping in place, with no intermediate ``bytes`` object.
+The codecs are created once, here, and the block/trace code generator
+(:mod:`repro.sim.blocks`) binds the very same objects into every
+compiled unit.
 """
 
 import mmap
+import struct
 
 from repro.sim.errors import MemoryError_
 
 MASK64 = (1 << 64) - 1
 
+#: ``struct`` format code of an unsigned access per width in bytes (the
+#: lower-case code is the signed one).
+WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: ``(width, signed) -> unpack_from`` of the little-endian codec:
+#: ``LOADS[8, False](ram, addr)[0]`` is the dword at ``addr``.
+LOADS = {(width, signed): struct.Struct(
+             "<" + (code.lower() if signed else code)).unpack_from
+         for width, code in WIDTH_CODES.items() for signed in (False, True)}
+
+#: ``width -> pack_into`` of the unsigned codec:
+#: ``STORES[8](ram, addr, value)`` writes an in-range ``value``.
+STORES = {width: struct.Struct("<" + code).pack_into
+          for width, code in WIDTH_CODES.items()}
+
+_LOAD_U64 = LOADS[8, False]
+_STORE_U64 = STORES[8]
+
 
 class Memory:
-    """``size`` bytes of zero-initialised RAM starting at address 0."""
+    """``size`` bytes of zero-initialised RAM starting at address 0.
+
+    Accesses are 1, 2, 4 or 8 bytes wide, except the bulk
+    :meth:`read_bytes` and :meth:`write_bytes`.
+    """
 
     def __init__(self, size=16 * 1024 * 1024):
         self.size = size
@@ -32,14 +61,12 @@ class Memory:
     def load(self, addr, width, signed=False):
         """Load ``width`` bytes at ``addr`` as an integer."""
         self._check(addr, width)
-        return int.from_bytes(self.data[addr:addr + width], "little",
-                              signed=signed)
+        return LOADS[width, signed](self.data, addr)[0]
 
     def store(self, addr, width, value):
         """Store the low ``width`` bytes of ``value`` at ``addr``."""
         self._check(addr, width)
-        self.data[addr:addr + width] = (value & ((1 << (8 * width)) - 1)) \
-            .to_bytes(width, "little")
+        STORES[width](self.data, addr, value & ((1 << (8 * width)) - 1))
 
     # Convenience accessors used heavily by the engines.
     def load_u8(self, addr):
@@ -48,7 +75,7 @@ class Memory:
 
     def load_u64(self, addr):
         self._check(addr, 8)
-        return int.from_bytes(self.data[addr:addr + 8], "little")
+        return _LOAD_U64(self.data, addr)[0]
 
     def store_u8(self, addr, value):
         self._check(addr, 1)
@@ -56,7 +83,7 @@ class Memory:
 
     def store_u64(self, addr, value):
         self._check(addr, 8)
-        self.data[addr:addr + 8] = (value & MASK64).to_bytes(8, "little")
+        _STORE_U64(self.data, addr, value & MASK64)
 
     def corrupt(self, addr, mask):
         """Fault injection: XOR ``mask`` into the byte at ``addr``.

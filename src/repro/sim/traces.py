@@ -176,16 +176,18 @@ class TraceTable:
             entry = self.blocks.single_at(index)
         return entry
 
-    def record_and_run(self, index, cpu, prev, ic, dc, dr, fe, ct, icc,
-                       max_instructions):
+    def record_and_run(self, index, cpu, prev, x, max_instructions):
         """Record the hot path from ``index`` while executing it per
-        block, then compile and install a trace for the head.
+        block (``x`` is the run's state tuple), then compile and install
+        a trace for the head.
 
         Returns ``(cycles, prev)`` for the span actually executed, so
         the dispatch loop treats recording like any other unit call.
         Recording stops when the path returns to the head (a loop
         closed), leaves the program, reaches :data:`MAX_TRACE_BLOCKS`,
-        halts, or nears the instruction budget.
+        halts, or before a block that could reach the instruction
+        budget (the dispatch loop runs that one, so the limit trips
+        with its exact instruction).
         """
         blocks = self.blocks
         base = self.base
@@ -195,11 +197,11 @@ class TraceTable:
         cycles = 0
         while True:
             entry = blocks.block_at(path[-1])
-            if cpu.instret + entry[1] > max_instructions:
+            if cpu.instret + entry[1] >= max_instructions:
                 break
-            c, prev = entry[0](cpu, prev, ic, dc, dr, fe, ct, icc)
+            c, prev = entry[0](prev, x)
             cycles += c
-            if cpu.halted or cpu.instret >= max_instructions:
+            if cpu.halted:
                 break
             nxt = (cpu.pc - base) >> 2
             if not 0 <= nxt < size:

@@ -154,8 +154,12 @@ class TypeRuleTable:
                 "miss_keys": dict(self.miss_keys)}
 
     def restore(self, state):
-        self._rules = dict(state["rules"])
-        self._order = list(state["order"])
+        # Refilled in place, as push/flush keep them: compiled units
+        # bind the rule dict's ``get`` once per run.
+        rules = dict(state["rules"])
+        self._rules.clear()
+        self._rules.update(rules)
+        self._order[:] = state["order"]
         self.hits = state["hits"]
         self.misses = state["misses"]
         self.miss_keys = dict(state.get("miss_keys", ()))

@@ -28,7 +28,11 @@ from repro.engines.ir import (
     extra_cycles,
     kind_of,
 )
-from repro.sim.errors import ExecutionLimitExceeded, IllegalInstruction
+from repro.sim.errors import (
+    ExecutionLimitExceeded,
+    IllegalInstruction,
+    MemoryError_,
+)
 from repro.sim.trt import attribution_keys
 from repro.uarch.branch import FrontEnd
 from repro.uarch.cache import Cache
@@ -128,7 +132,7 @@ class Machine:
         once per bytecode, from the running cycle total, with the
         arithmetic of :meth:`run_reference`.
         """
-        from repro.sim.blocks import block_table
+        from repro.sim.blocks import block_table, unit_state
 
         cpu = self.cpu
         attribution = self.attribution
@@ -137,12 +141,7 @@ class Machine:
         slots = units.units
         size = len(slots)
         base = table.base
-        icache = self.icache
-        ic = icache.access
-        dc = self.dcache.access
-        dr = self.dram.access
-        frontend = self.frontend
-        counters = self.counters
+        x = unit_state(self)
         entry_names = attribution.entry_names
         bucket_counts = [0] * len(attribution.bucket_names)
         entry_counts = [0] * len(entry_names)
@@ -156,56 +155,59 @@ class Machine:
         cycles = 0
         prev = -1
 
-        while not cpu.halted:
-            index = (cpu.pc - base) >> 2
-            if 0 <= index < size:
-                unit = slots[index]
-                if unit is None:
-                    unit = units.unit_at(index)
-            else:
-                raise IllegalInstruction(
-                    "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
-            before = cpu.instret
-            if before + unit[1] > max_instructions:
-                # Close to the budget: a single instruction, so the
-                # limit trips at the exact instruction.
-                unit = units.single_at(index)
-            fn, _count, entry, summary = unit
-            if entry >= 0:
-                # Close the previous flat span (see run_reference).
-                flat_cycles[current_entry + 1] += cycles - span_cycles
-                flat_instructions[current_entry + 1] += \
-                    before - span_instret
-                span_cycles = cycles
-                span_instret = before
-                entry_counts[entry] += 1
-                current_entry = entry
-            # The inlined tagged ALU sets the flag only on a miss.
-            cpu.redirect = False
-            c, prev = fn(cpu, prev, ic, dc, dr, frontend, counters, icache)
-            cycles += c
-            done = cpu.instret
-            pairs, hits, miss = summary[done - before]
-            for bucket, count in pairs:
-                bucket_counts[bucket] += count
-            if current_entry >= 0:
-                if miss < 0:
-                    # A tagged ALU or check ended the unit: the flag
-                    # tells whether it redirected.
-                    if cpu.redirect:
-                        miss = 1
-                    else:
-                        hits += 1
-                if hits:
-                    entry_type_hits[current_entry] += hits
-                if miss > 0:
-                    entry_type_misses[current_entry] += 1
-            if done >= max_instructions:
-                raise ExecutionLimitExceeded(
-                    "exceeded %d instructions at PC 0x%x"
-                    % (max_instructions, cpu.pc), pc=cpu.pc,
-                    mnemonic=table.instructions[
-                        index + done - before - 1].mnemonic)
+        try:
+            while not cpu.halted:
+                index = (cpu.pc - base) >> 2
+                if 0 <= index < size:
+                    unit = slots[index]
+                    if unit is None:
+                        unit = units.unit_at(index)
+                else:
+                    raise IllegalInstruction(
+                        "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
+                before = cpu.instret
+                if before + unit[1] > max_instructions:
+                    # Close to the budget: a single instruction, so the
+                    # limit trips at the exact instruction.
+                    unit = units.single_at(index)
+                fn, _count, entry, summary = unit
+                if entry >= 0:
+                    # Close the previous flat span (see run_reference).
+                    flat_cycles[current_entry + 1] += cycles - span_cycles
+                    flat_instructions[current_entry + 1] += \
+                        before - span_instret
+                    span_cycles = cycles
+                    span_instret = before
+                    entry_counts[entry] += 1
+                    current_entry = entry
+                # The inlined tagged ALU sets the flag only on a miss.
+                cpu.redirect = False
+                c, prev = fn(prev, x)
+                cycles += c
+                done = cpu.instret
+                pairs, hits, miss = summary[done - before]
+                for bucket, count in pairs:
+                    bucket_counts[bucket] += count
+                if current_entry >= 0:
+                    if miss < 0:
+                        # A tagged ALU or check ended the unit: the flag
+                        # tells whether it redirected.
+                        if cpu.redirect:
+                            miss = 1
+                        else:
+                            hits += 1
+                    if hits:
+                        entry_type_hits[current_entry] += hits
+                    if miss > 0:
+                        entry_type_misses[current_entry] += 1
+                if done >= max_instructions:
+                    raise ExecutionLimitExceeded(
+                        "exceeded %d instructions at PC 0x%x"
+                        % (max_instructions, cpu.pc), pc=cpu.pc,
+                        mnemonic=table.instructions[
+                            index + done - before - 1].mnemonic)
+        except MemoryError_ as err:
+            raise self._locate(err)
 
         flat_cycles[current_entry + 1] += cycles - span_cycles
         flat_instructions[current_entry + 1] += cpu.instret - span_instret
@@ -213,7 +215,7 @@ class Machine:
         self._publish_attribution(bucket_counts, entry_counts,
                                   entry_type_hits, entry_type_misses,
                                   flat_instructions, flat_cycles)
-        return counters
+        return self.counters
 
     def _run_traces(self, max_instructions):
         """Trace-at-a-time dispatch loop (see :mod:`repro.sim.traces`).
@@ -224,6 +226,7 @@ class Machine:
         path is recorded — executing per block while recording, so it is
         accounted exactly like any other unit call.
         """
+        from repro.sim.blocks import unit_state
         from repro.sim.traces import (
             TRACE_EVAL_WINDOW,
             TRACE_THRESHOLD,
@@ -238,43 +241,30 @@ class Machine:
         meta = table.meta
         size = len(entries)
         base = table.base
-        icache = self.icache
-        ic = icache.access
-        dc = self.dcache.access
-        dr = self.dram.access
-        frontend = self.frontend
-        counters = self.counters
+        x = unit_state(self)
         cycles = 0
         prev = -1
 
-        while not cpu.halted:
-            index = (cpu.pc - base) >> 2
-            if 0 <= index < size:
-                entry = entries[index]
-                if entry is None:
-                    entry = table.entry_at(index)
-            else:
-                raise IllegalInstruction(
-                    "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
-            hot = counts[index] + 1
-            counts[index] = hot
-            if hot == TRACE_THRESHOLD:
-                c, prev = table.record_and_run(
-                    index, cpu, prev, ic, dc, dr, frontend, counters,
-                    icache, max_instructions)
-            else:
-                done = cpu.instret
-                if done + entry[1] > max_instructions:
-                    # Close to the budget: fall back to the plain block
-                    # or a single instruction so the limit trips at the
-                    # exact instruction.
-                    entry = table.budget_entry(
-                        index, max_instructions - done)
-                    c, prev = entry[0](cpu, prev, ic, dc, dr, frontend,
-                                       counters, icache)
+        try:
+            while not cpu.halted:
+                index = (cpu.pc - base) >> 2
+                if 0 <= index < size:
+                    entry = entries[index]
+                    if entry is None:
+                        entry = table.entry_at(index)
                 else:
-                    c, prev = entry[0](cpu, prev, ic, dc, dr, frontend,
-                                       counters, icache)
+                    raise IllegalInstruction(
+                        "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
+                hot = counts[index] + 1
+                counts[index] = hot
+                done = cpu.instret
+                if hot == TRACE_THRESHOLD:
+                    # Recording never reaches the budget (it stops a
+                    # block short of it).
+                    c, prev = table.record_and_run(
+                        index, cpu, prev, x, max_instructions)
+                elif done + entry[1] < max_instructions:
+                    c, prev = entry[0](prev, x)
                     m = meta[index]
                     if m is not None:
                         # Trace health: how much of the trace actually
@@ -284,11 +274,22 @@ class Machine:
                         m[2] += cpu.instret - done
                         if m[1] == TRACE_EVAL_WINDOW:
                             table.evaluate(index)
-            cycles += c
-            if cpu.instret >= max_instructions:
-                raise ExecutionLimitExceeded(
-                    "exceeded %d instructions at PC 0x%x"
-                    % (max_instructions, cpu.pc), pc=cpu.pc)
+                else:
+                    # A unit that could reach the budget: the plain
+                    # block or a single instruction instead, so the
+                    # limit trips at the exact instruction, which is
+                    # the last one the straight-line unit retired.
+                    c, prev = table.budget_entry(
+                        index, max_instructions - done)[0](prev, x)
+                    if cpu.instret >= max_instructions:
+                        raise ExecutionLimitExceeded(
+                            "exceeded %d instructions at PC 0x%x"
+                            % (max_instructions, cpu.pc), pc=cpu.pc,
+                            mnemonic=table.blocks.instructions[
+                                index + cpu.instret - done - 1].mnemonic)
+                cycles += c
+        except MemoryError_ as err:
+            raise self._locate(err)
 
         return self._finalize(cycles)
 
@@ -519,3 +520,11 @@ class Machine:
         counters.chk_misses = cpu.chk_misses
         counters.trt_miss_keys = attribution_keys(cpu.trt.miss_keys)
         return counters
+
+    def _locate(self, err):
+        """Add the faulting instruction to a compiled unit's memory
+        fault: a unit sets ``cpu.pc`` before any access that can fault
+        (see :func:`repro.sim.blocks._outside`), so the PC names it."""
+        cpu = self.cpu
+        instr = cpu.program.instructions[(cpu.pc - cpu.program.base) >> 2]
+        return err.with_context(pc=cpu.pc, mnemonic=instr.mnemonic)

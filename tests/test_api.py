@@ -1,6 +1,7 @@
 """The repro.api facade: dispatch, schema round-trips and the
 keyword-only run_lua/run_js adapters."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from repro.bench import cache as result_cache
 from repro.bench.runner import clear_cache
 from repro.engines.js.vm import run_js
 from repro.engines.lua.vm import run_lua
-from repro.schema import SCHEMA_VERSION, SchemaError
+from repro.schema import SCHEMA_VERSION, SchemaError, stamp
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +148,59 @@ def test_result_round_trip():
     back = ExecutionResult.from_dict(payload)
     assert back.ok and back.output == "7\n"
     assert back.counters.as_dict() == result.counters.as_dict()
+
+
+def _asdict_payload(result):
+    """The payload as ``ExecutionResult.as_dict`` once built it, from a
+    deep copy by ``dataclasses.asdict``."""
+    payload = dataclasses.asdict(result)
+    payload["counters"] = result.counters.as_dict() \
+        if result.counters is not None else None
+    return stamp(payload)
+
+
+def _results():
+    """A run, a bench, a cached bench, an error and a sweep result."""
+    sweep = api.execute(ExecutionRequest(
+        op="sweep", engines=("lua",), benchmarks=("fibo",),
+        configs=("baseline", "typed", "chklb"), scales={"fibo": 3}, jobs=1))
+    assert sweep.cells
+    return {
+        "run": run("lua", "print(7)", config="typed"),
+        "bench": run("lua", "fibo", scale=4, config="typed"),
+        "cached": run("lua", "fibo", scale=4, config="typed"),
+        "error": ExecutionResult(ok=False, engine="lua", error={
+            "type": "SimulationError", "message": "boom [pc=0x10]"}),
+        "sweep": sweep,
+    }
+
+
+def test_result_payload_equals_the_deep_copied_one():
+    results = _results()
+    assert results["cached"].cached and not results["bench"].cached
+    for name, result in results.items():
+        payload = result.as_dict()
+        assert json.dumps(payload, sort_keys=True) \
+            == json.dumps(_asdict_payload(result), sort_keys=True), name
+        back = ExecutionResult.from_dict(json.loads(json.dumps(payload)))
+        assert json.dumps(back.as_dict(), sort_keys=True) \
+            == json.dumps(payload, sort_keys=True), name
+
+
+def test_result_payload_does_not_alias_the_result():
+    results = _results()
+    for name in ("error", "sweep"):
+        result = results[name]
+        before = json.dumps(result.as_dict(), sort_keys=True)
+        payload = result.as_dict()
+        for value in (payload["error"], payload["cells"]):
+            if value:
+                for key in list(value):
+                    if isinstance(value[key], dict):
+                        value[key].clear()
+                    else:
+                        value[key] = None
+        assert json.dumps(result.as_dict(), sort_keys=True) == before
 
 
 def test_execute_payload_is_the_wire_body():

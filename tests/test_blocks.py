@@ -11,6 +11,8 @@ and over generated tagged programs with random attribution maps;
 block-shape unit tests pin the discovery rules.
 """
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from repro.engines.js import vm as js_vm
 from repro.engines.lua import vm as lua_vm
 from repro.isa.assembler import assemble
 from repro.isa.extension import TypeRule, arithmetic_rules
+from repro.sim import traces
 from repro.sim.blocks import MAX_BLOCK_LEN, block_table
 from repro.sim.cpu import Cpu
 from repro.sim.errors import ExecutionLimitExceeded
@@ -30,7 +33,7 @@ from repro.sim.memory import Memory
 from repro.sim.tagio import TagCodec
 from repro.telemetry import Telemetry, attach_cpu
 from repro.uarch.pipeline import DEFAULT_CONFIG, Attribution, Machine
-from tests.test_traces import _BODY_OPS, _DIAMOND
+from tests.test_traces import _BODY_OPS, _DIAMOND, PINNED_THRESHOLD
 
 
 def _machine(text, **kwargs):
@@ -506,14 +509,21 @@ _ATTRIBUTION_FIELDS = ("bytecode_counts", "bucket_instructions",
 # the arg is named "workload" because pytest-benchmark owns "benchmark"
 @pytest.mark.parametrize(("engine", "workload", "config"), _CELLS,
                          ids=["%s-%s-%s" % cell for cell in _CELLS])
-def test_differential_benchmark_matrix(engine, workload, config):
+def test_differential_benchmark_matrix(engine, workload, config,
+                                      monkeypatch):
     """The attributed reference loop, the trace engine and the
     attributed block engine agree on output and every counter (the
-    trace engine runs attribution-free, so its breakdowns are empty)."""
+    trace engine runs attribution-free, so its breakdowns are empty).
+
+    Traces form at the mechanism tests' pinned point, on fresh trace
+    tables (a head already past it in a shared table never forms one),
+    so every cell checks trace code, not just blocks."""
+    monkeypatch.setattr(traces, "TRACE_THRESHOLD", PINNED_THRESHOLD)
+    monkeypatch.setattr(traces, "_TABLES", weakref.WeakKeyDictionary())
     vm = lua_vm if engine == "lua" else js_vm
     source = getattr(WORKLOADS[workload],
                      "%s_source" % engine)(_SCALES[workload])
-    attribution = vm.interpreter_program(config)[1]
+    program, attribution = vm.interpreter_program(config)
     cpu, runtime, _program = vm.prepare(source, config)
     reference = Machine(cpu, attribution=attribution).run_reference()
     output = "".join(runtime.output)
@@ -524,6 +534,8 @@ def test_differential_benchmark_matrix(engine, workload, config):
     assert record.output == output
     assert record.counters.as_dict() == {
         **expected, **{name: {} for name in _ATTRIBUTION_FIELDS}}
+    assert traces.trace_table(program, DEFAULT_CONFIG,
+                              cpu.workload).traces >= 1
     cpu, runtime, _program = vm.prepare(source, config)
     attributed = Machine(cpu, attribution=attribution).run()
     assert "".join(runtime.output) == output

@@ -113,10 +113,13 @@ def test_paper_table5_contents():
 def test_snapshot_restore():
     trt = TypeRuleTable()
     trt.load_rules(arithmetic_rules(19, 3))
+    rules = trt._rules
     state = trt.snapshot()
     trt.flush()
     trt.restore(state)
     assert trt.lookup(TRT_OPCODES["xmul"], 3, 3) == 3
+    # Refilled in place: compiled units bind the dict once per run.
+    assert trt._rules is rules
 
 
 def test_snapshot_restore_preserves_statistics():
