@@ -16,7 +16,8 @@ text, written down once:
   ops from the tables, and the block/trace code generator
   (:mod:`repro.sim.blocks`) fills in the same templates with constant
   operands, so the two cannot drift;
-* block formation: the terminators and the block length cap.
+* block formation: the terminators, the block length cap and the path
+  walk that follows direct jumps (:func:`block_path`).
 
 **Guest-bytecode views** — a uniform protocol over both engines'
 predecoded programs.  :class:`LuaView` (register VM) and
@@ -50,9 +51,12 @@ MASK64 = (1 << 64) - 1
 #: single-step window.
 MAX_BLOCK_LEN = 64
 
-#: Instructions that always end a block: indirect control flow lands at
-#: a fresh dispatch anyway, ``ecall`` may touch arbitrary host state and
-#: ``ebreak`` halts the machine.
+#: The instructions a block can end at.  ``jalr``, ``ecall`` and
+#: ``ebreak`` always end it: indirect control flow lands at a fresh
+#: dispatch anyway, ``ecall`` may touch arbitrary host state and
+#: ``ebreak`` halts the machine.  :func:`block_path` follows a ``jal`` to
+#: its target instead; a block ends at one only when the target lies
+#: outside the program or on the path already, or the block is full.
 TERMINATORS = frozenset(["jal", "jalr", "ecall", "ebreak"])
 
 # Expression templates.  Operands are ``%(a)s``/``%(b)s`` (the rs1/rs2
@@ -190,14 +194,37 @@ def extra_cycles(latency):
             for kind, field in EXTRA_LATENCY.items()}
 
 
-def block_extent(instructions, start, max_len):
-    """The exclusive stop index of the block entered at ``start``:
-    truncated at the first terminator, else after ``max_len``."""
-    stop = min(len(instructions), start + max_len)
-    for j in range(start, stop):
-        if instructions[j].mnemonic in TERMINATORS:
-            return j + 1
-    return stop
+def block_path(instructions, base, start, max_len):
+    """The instruction indices of the block entered at ``start``, in
+    the order it executes them.
+
+    The walk runs through straight-line code and conditional branches
+    (not taken) and follows every ``jal``, calls included, to its
+    target.  It stops after ``jalr``, ``ecall`` or ``ebreak``; after a
+    ``jal`` whose target lies outside the program or on the path
+    already; at the end of the program; or after ``max_len``
+    instructions in total.  A smaller ``max_len`` gives a prefix of the
+    same path.
+    """
+    size = len(instructions)
+    path = [start]
+    index = start
+    while len(path) < max_len:
+        instr = instructions[index]
+        mnemonic = instr.mnemonic
+        if mnemonic == "jal":
+            offset = ((base + 4 * index + instr.imm) & MASK64) - base
+            index = offset >> 2
+            if offset & 3 or not 0 <= index < size or index in path:
+                break
+        elif mnemonic in TERMINATORS:
+            break
+        else:
+            index += 1
+            if index == size:
+                break
+        path.append(index)
+    return path
 
 
 # -- guest-bytecode views ------------------------------------------------------

@@ -15,8 +15,12 @@ targets — the interpreter's bytecode dispatch — need no static leader
 analysis).  A block extends through conditional branches (guarded on the
 taken direction) and through the may-redirect typed instructions
 (``xadd``/``xsub``/``xmul``/``tchk``/``chklb``/``chklw``/``thdl``,
-guarded on the redirect), and ends at ``jal``/``jalr``/``ecall``/
-``ebreak`` or after :data:`MAX_BLOCK_LEN` instructions.
+guarded on the redirect), and through every ``jal``, calls included,
+to its target, so a bytecode handler and the shared dispatch sequence
+it jumps to are one block.  It ends at ``jalr``/``ecall``/``ebreak``,
+at a ``jal`` whose target is outside the program or already in the
+block, or after :data:`MAX_BLOCK_LEN` instructions in total;
+:meth:`BlockTable.path_at` lists the indices it runs, in order.
 
 Each block is compiled to one generated Python function that
 
@@ -50,9 +54,10 @@ turns hot and wherever a trace side-exits.  They are also the units of
 the attributed dispatch loop
 (:meth:`repro.uarch.pipeline.Machine._run_blocks`), which charges
 per-bytecode attribution per call from :class:`AttributedUnits`.  The
-per-instruction code generator itself lives in :class:`_Emitter`,
-which the trace engine also uses to chain hot blocks across taken
-branches into longer compilation units with guarded side exits.
+per-instruction code generator itself lives in :class:`_Emitter`, and
+one segment emitter (:meth:`_Emitter.segment`) writes both a block (one
+segment: its path) and a trace (several block-path prefixes, chained
+across taken branches and indirect jumps with guarded side exits).
 
 Compiled tables are cached per ``(program, machine-config)`` — the
 assembled interpreters are themselves cached per engine configuration,
@@ -79,13 +84,13 @@ from repro.engines.ir import (
     MAX_BLOCK_LEN,
     STORE_WIDTH,
     TERMINATORS,
-    block_extent,
+    block_path,
     extra_cycles,
     kind_of,
 )
 from repro.isa.extension import TAG_DWORD_DISPLACEMENT
 from repro.sim.cpu import _DISPATCH, _PACK_F64, _PACK_U64
-from repro.sim.errors import IllegalInstruction
+from repro.sim.errors import IllegalInstruction, MemoryError_
 from repro.sim.memory import LOADS, STORES, WIDTH_CODES
 from repro.sim.trt import TRT_OPCODES
 
@@ -153,6 +158,13 @@ class BlockTable:
             entry = self._degrade(index, err)
         return entry
 
+    def path_at(self, index, max_len=MAX_BLOCK_LEN):
+        """The instruction indices, in execution order, of the block
+        entered at ``index`` (see :func:`~repro.engines.ir.block_path`).
+        Every unit entered at ``index`` runs a prefix of this path: the
+        block, its attributed cut and the single instruction alike."""
+        return block_path(self.instructions, self.base, index, max_len)
+
     def single_at(self, index):
         """A one-instruction block (used near the instruction budget so
         the ``ExecutionLimitExceeded`` point stays exact)."""
@@ -205,15 +217,17 @@ class AttributedUnits:
     the attributed dispatch loop
     (:meth:`repro.uarch.pipeline.Machine._run_blocks`).
 
-    Attribution is static per instruction index, and a unit is
-    straight-line code that is left only after a prefix, so what one
-    call charges depends only on how many instructions it retired.
+    Attribution is static per instruction index, and a unit runs its
+    block's path (:meth:`BlockTable.path_at`), which it leaves only
+    after a prefix, so what one call charges depends only on how many
+    instructions it retired.
     ``units[index]`` holds ``(fn, count, entry, summary)``, built on
     first use:
 
     * ``fn``/``count`` — the block entered at ``index``, cut just
-      before any handler entry past its head, so every entry heads a
-      unit and flat spans close between calls;
+      before any handler entry on its path past its head (one reached
+      through a followed ``jal`` included), so every entry heads a unit
+      and flat spans close between calls;
     * ``entry`` — the handler entry id at ``index`` (``-1`` for none);
     * ``summary[k]`` — the charges of a call that retired ``k``
       instructions: ``(pairs, hits, miss)``, with the ``(bucket,
@@ -238,12 +252,13 @@ class AttributedUnits:
         if unit is None:
             table = self.table
             fn, count = table.block_at(index)
+            path = table.path_at(index, count)
             entry_of = self.attribution.entry_of
-            for stop in range(index + 1, index + count):
-                if entry_of[stop] >= 0:
-                    fn, count = table.compile_at(index, stop - index)
+            for cut in range(1, count):
+                if entry_of[path[cut]] >= 0:
+                    fn, count = table.compile_at(index, cut)
                     break
-            unit = self._unit(index, fn, count)
+            unit = self._unit(path[:count], fn)
             self.units[index] = unit
         return unit
 
@@ -251,29 +266,32 @@ class AttributedUnits:
         """The one-instruction unit at ``index`` (near the budget)."""
         unit = self._singles.get(index)
         if unit is None:
-            fn, count = self.table.single_at(index)
-            unit = self._unit(index, fn, count)
+            fn, _count = self.table.single_at(index)
+            unit = self._unit([index], fn)
             self._singles[index] = unit
         return unit
 
-    def _unit(self, index, fn, count):
+    def _unit(self, path, fn):
+        """The unit tuple of ``fn``, which runs the instructions at
+        ``path``."""
         bucket_of = self.attribution.bucket_of
         kinds = self.table.kinds
-        stop = index + count
+        last = len(path) - 1
         summary = [None]
         buckets = {}
         hits = 0
-        for j in range(index, stop):
+        for position, j in enumerate(path):
             bucket = bucket_of[j]
             if bucket >= 0:
                 buckets[bucket] = buckets.get(bucket, 0) + 1
             pairs = tuple(buckets.items())
             if kinds[j] == K_TAGGED_ALU or kinds[j] == K_CHECK:
-                summary.append((pairs, hits, 1 if j + 1 < stop else -1))
+                summary.append((pairs, hits,
+                                1 if position < last else -1))
                 hits += 1
             else:
                 summary.append((pairs, hits, 0))
-        return fn, count, self.attribution.entry_of[index], summary
+        return fn, len(path), self.attribution.entry_of[path[0]], summary
 
 
 _SIGN = 1 << 63
@@ -341,10 +359,11 @@ def _outside(cpu, pc, retired, addr, width):
 #: The generated code's globals, one dict shared by every unit: the
 #: ``struct`` codecs of :mod:`repro.sim.memory` (``LQ(D, a)[0]`` loads
 #: a dword, ``SQ(D, a, v)`` stores one; signed loads use the
-#: lower-case code), the float/bit converters and the fault helper.
+#: lower-case code), the float/bit converters, the fault helper and
+#: the fault class handler calls are guarded against.
 _GLOBALS = {
     "__builtins__": builtins, "int": int,
-    "TD_": TAG_DWORD_DISPLACEMENT, "OUT": _outside,
+    "TD_": TAG_DWORD_DISPLACEMENT, "OUT": _outside, "ME_": MemoryError_,
     "UP": _PACK_U64.pack, "UQ": _PACK_U64.unpack,
     "PF": _PACK_F64.pack, "FU": _PACK_F64.unpack,
     **{"L" + (WIDTH_CODES[width].lower() if signed
@@ -362,16 +381,21 @@ class _Emitter:
     through* the control transfer, turning what the block engine treats
     as an exit into a guarded continuation:
 
-    ``("taken", target_pc)``
-        Conditional branch assumed taken: the guard is the branch
-        condition itself; the fall-through direction side-exits with
-        the same front-end training and cycle charge the reference
-        loop pays on that path.
     ``("jal", target_pc)``
-        Direct jump: unconditional chain, no guard needed.
+        Direct jump: unconditional chain, no guard needed.  Blocks
+        chain every ``jal`` inside their path this way.
+    ``("taken", target_pc)``
+        Conditional branch assumed taken (traces only): the guard is
+        the branch condition itself; the fall-through direction
+        side-exits with the same front-end training and cycle charge
+        the reference loop pays on that path.
     ``("jalr", assumed_pc)``
-        Indirect jump: the actual target is computed and trained as
-        usual, then guarded against the assumed trace successor.
+        Indirect jump (traces only): the actual target is computed and
+        trained as usual, then guarded against the assumed trace
+        successor.
+
+    :meth:`segment` emits one path of instruction indices with its jumps
+    chained; a block is one segment, a trace several.
 
     The generated code mirrors the per-instruction timing loop of
     :meth:`Machine.run_reference` statement for statement, and
@@ -468,6 +492,22 @@ class _Emitter:
             self.sig.append("h%d=_h[%d]" % (index, index))
             self.sig.append("i%d=_i[%d]" % (index, index))
         return "h%d(cpu, i%d)" % (index, index)
+
+    def _memory_call(self, call):
+        """Emit a handler call that may fault in guest memory (``chklw``,
+        ``chklb``, ``ecall``).  Its ``MemoryError_`` first adds the
+        instructions the unit retired before it to ``cpu.instret``, as
+        :func:`_outside` does for the inlined accesses; the handler
+        leaves ``cpu.pc`` at the faulting instruction."""
+        body = self.body
+        if not self.k:
+            body.append("    " + call)
+            return
+        body.append("    try:")
+        body.append("        " + call)
+        body.append("    except ME_:")
+        body.append("        cpu.instret += %d" % self.k)
+        body.append("        raise")
 
     def _untype(self, rd):
         """Emit the untyped-result stores for ``rd`` unless the unit
@@ -707,6 +747,9 @@ class _Emitter:
             self._in_ram(pc, "a", width, "    ")
             if width == 1:
                 body.append("    D[a] = V[%d] & 255" % i.rs2)
+            elif width == 8:
+                # Register values already lie in [0, 2**64).
+                body.append("    SQ(D, a, V[%d])" % i.rs2)
             else:
                 body.append("    S%s(D, a, V[%d] & %d)"
                             % (WIDTH_CODES[width], i.rs2,
@@ -885,7 +928,7 @@ class _Emitter:
                 self.pc_stale = False
             call = self._call(index)
             if kind == K_LOAD:
-                body.append("    " + call)
+                self._memory_call(call)  # chklw: the only one not inlined
                 body.append("    a = cpu.mem_addr")
                 self._dc_fused("a", "    ")
                 prev_next = i.rd or -1
@@ -898,8 +941,10 @@ class _Emitter:
                     self.emit_exit(k + 1, prev_next, "        ")
             elif kind == K_CHECK:
                 body.append("    cpu.redirect = False")
-                body.append("    " + call)
-                if mn != "tchk":
+                if mn == "tchk":
+                    body.append("    " + call)
+                else:
+                    self._memory_call(call)
                     body.append("    a = cpu.mem_addr")
                     self._dc_fused("a", "    ")
                 body.append("    if cpu.redirect:")
@@ -908,7 +953,7 @@ class _Emitter:
                 if mn != "tchk":
                     prev_next = i.rd or -1
             elif kind == K_ECALL:
-                body.append("    " + call)
+                self._memory_call(call)
                 body.append("    m = cpu.pending_host_cost")
                 body.append("    cpu.pending_host_cost = 0")
                 body.append("    ct.host_instructions += m")
@@ -928,11 +973,23 @@ class _Emitter:
         self.prev_pc = pc
         self.k += 1
 
-    def finish(self, stop):
+    def segment(self, path, chain=None):
+        """Emit the instructions at ``path`` (a block path or a prefix
+        of one), chaining every ``jal`` before the last instruction to
+        the next index on the path; the last instruction is emitted
+        with ``chain`` (``None`` for block-mode code)."""
+        for index, following in zip(path, path[1:]):
+            jump = self.instrs[index].mnemonic == "jal"
+            self.emit(index, ("jal", self.base + 4 * following)
+                      if jump else None)
+        self.emit(path[-1], chain)
+
+    def finish(self):
         """Emit the final fall-through exit unless the last instruction
         was a terminator (whose exit is already emitted)."""
-        if self.instrs[stop - 1].mnemonic not in TERMINATORS:
-            exit_pc = self.base + 4 * stop if self.pc_stale else None
+        last = self.instrs[(self.prev_pc - self.base) >> 2]
+        if last.mnemonic not in TERMINATORS:
+            exit_pc = self.prev_pc + 4 if self.pc_stale else None
             self.emit_exit(self.k, self.prev_out, "    ", exit_pc=exit_pc)
 
     def build(self, filename):
@@ -951,14 +1008,12 @@ class _Emitter:
 
 def _compile_block(table, start, max_len):
     """Generate, ``exec`` and return ``(fn, count)`` for the block
-    entered at instruction index ``start``."""
-    stop = block_extent(table.instructions, start, max_len)
+    entered at instruction index ``start``: one segment, its path."""
     emitter = _Emitter(table)
-    for index in range(start, stop):
-        emitter.emit(index)
-    emitter.finish(stop)
+    emitter.segment(table.path_at(start, max_len))
+    emitter.finish()
     fn = emitter.build("<block@0x%x>" % (table.base + 4 * start))
-    return fn, stop - start
+    return fn, emitter.k
 
 
 def _fallback_block(table, index):

@@ -1,7 +1,9 @@
-"""Superblock trace engine: hot blocks chained across taken branches.
+"""Superblock trace engine: hot blocks chained across taken branches
+and indirect jumps.
 
 The basic-block engine (:mod:`repro.sim.blocks`) pays one Python-level
-dispatch per basic block — and guest interpreter blocks are short, so
+dispatch per block.  Its blocks already run through direct jumps, but
+each still ends at the ``jalr`` that dispatches the next bytecode, so
 the dispatch (PC arithmetic, table lookup, budget check, call) is still
 a large fraction of host time.  This module chains *hot* blocks into
 superblock traces, dynamic-binary-translation style, so the dispatch is
@@ -12,19 +14,23 @@ paid once per trace instead:
   runtime records the concrete path taken from that head — executing
   per block while recording — until the path returns to the head, hits
   an unchainable exit, or reaches :data:`MAX_TRACE_BLOCKS`.
-* **Static validation.**  Each recorded transition is justified against
-  the program text (:func:`_chain_segment`): a conditional branch whose
-  taken target matches, a ``jal`` whose target matches, a ``jalr``
-  (guarded on the assumed target), or the unconditional fall-through at
-  a :data:`~repro.sim.blocks.MAX_BLOCK_LEN` cut.  Transitions produced
-  by dynamic redirects (type mispredictions, checked-load misses,
-  ``thdl`` deoptimisation) cannot be justified and truncate the trace.
+* **Static validation.**  Each recorded transition is justified from
+  the recorded block's own path (:func:`_chain_segment`,
+  :meth:`~repro.sim.blocks.BlockTable.path_at`): a conditional branch on
+  the path whose taken target matches, or the exit that ends the path
+  — a ``jal`` the block could not follow whose target matches, a
+  ``jalr`` (guarded on the assumed target), or the unconditional
+  fall-through at a :data:`~repro.sim.blocks.MAX_BLOCK_LEN` cut.  The
+  ``jal`` instructions the path follows are chained as in the block.
+  Transitions produced by dynamic redirects (type mispredictions,
+  checked-load misses, ``thdl`` deoptimisation) cannot be justified and
+  truncate the trace.
 * **Guarded side exits.**  The chained unit is compiled by the same
-  per-instruction emitter as basic blocks
-  (:class:`repro.sim.blocks._Emitter`), so a guard failure — branch
-  went the other way, ``jalr`` landed elsewhere, a typed op redirected
-  — exits the trace with exactly the front-end training calls, cycle
-  charges and counter updates the reference loop pays on that path.
+  segment emitter as blocks (:meth:`repro.sim.blocks._Emitter.segment`),
+  so a guard failure — branch went the other way, ``jalr`` landed
+  elsewhere, a typed op redirected — exits the trace with exactly the
+  front-end training calls, cycle charges and counter updates the
+  reference loop pays on that path.
   Side exits are architecturally exact: nothing is rolled back or
   re-executed, control simply deopts to the per-block engine at the
   exit PC.
@@ -42,12 +48,7 @@ and across sweep cells in one process.
 import weakref
 from time import perf_counter
 
-from repro.engines.ir import (
-    BRANCH_COND as _BRANCH_COND,
-    MASK64 as _M,
-    MAX_BLOCK_LEN,
-    block_extent,
-)
+from repro.engines.ir import BRANCH_COND as _BRANCH_COND, MASK64 as _M
 from repro.sim.blocks import _Emitter, block_table
 
 #: A block becomes a trace head after this many dispatch-loop entries:
@@ -65,7 +66,8 @@ from repro.sim.blocks import _Emitter, block_table
 #:   Measured on the same cells, blocks-only and warm trace runs
 #:   interleaved in one process: ``s`` = 1.2-1.35 us (total host time
 #:   saved over the difference in dispatch counts), ``l`` = 9.8
-#:   instructions per block dispatch.
+#:   instructions per block dispatch, on blocks that still ended at
+#:   every ``jal``.
 #:
 #: A trace of ``n`` instructions costs ``n * c`` and repays ``n / l * s``
 #: per head dispatch, so it breaks even after ``c * l / s`` = 520-580
@@ -297,38 +299,36 @@ class TraceTable:
 
 
 def _chain_segment(blocks, s, t):
-    """Statically justify the recorded transition ``s -> t``.
+    """Statically justify the recorded transition ``s -> t`` from the
+    path of the block entered at ``s``.
 
-    Returns ``(start, stop, chain)`` — the instruction span emitted for
-    this segment and the chain disposition of its last instruction (see
-    :class:`repro.sim.blocks._Emitter`) — or ``None`` if no static exit
-    of the block at ``s`` can produce entry ``t`` (e.g. the transition
-    came from a dynamic redirect).
+    Returns ``(path, chain)`` — the instruction indices emitted for this
+    segment (a prefix of that path) and the chain disposition of its
+    last instruction (see :class:`repro.sim.blocks._Emitter`; ``None``
+    falls through) — or ``None`` if no static exit of the block can
+    produce entry ``t`` (e.g. the transition came from a dynamic
+    redirect).
     """
     instrs = blocks.instructions
     base = blocks.base
-    size = len(instrs)
-    stop = min(size, s + MAX_BLOCK_LEN)
-    for j in range(s, stop):
+    target = base + 4 * t
+    path = blocks.path_at(s)
+    for position, j in enumerate(path):
         i = instrs[j]
-        mn = i.mnemonic
-        pc = base + 4 * j
-        if mn in _BRANCH_COND:
-            target = (pc + i.imm) & _M
-            if (target - base) >> 2 == t:
-                return (s, j + 1, ("taken", target))
-            continue  # assumed not taken: emitted with a taken side exit
-        if mn == "jal":
-            target = (pc + i.imm) & _M
-            if (target - base) >> 2 == t:
-                return (s, j + 1, ("jal", target))
-            return None
-        if mn == "jalr":
-            return (s, j + 1, ("jalr", base + 4 * t))
-        if mn in ("ecall", "ebreak"):
-            return None
-    if stop < size and stop == t:
-        return (s, stop, ("fall",))  # MAX_BLOCK_LEN cut: unconditional
+        if i.mnemonic in _BRANCH_COND \
+                and (base + 4 * j + i.imm) & _M == target:
+            return path[:position + 1], ("taken", target)
+    last = path[-1]
+    i = instrs[last]
+    mn = i.mnemonic
+    if mn == "jal":
+        if (base + 4 * last + i.imm) & _M == target:
+            return path, ("jal", target)
+        return None
+    if mn == "jalr":
+        return path, ("jalr", target)
+    if mn not in ("ecall", "ebreak") and last + 1 == t:
+        return path, None  # MAX_BLOCK_LEN cut: unconditional
     return None
 
 
@@ -348,13 +348,12 @@ def _plan(blocks, path):
         seg = _chain_segment(blocks, s, t)
         if seg is None:
             break
-        total += seg[1] - seg[0]
+        total += len(seg[0])
         if total > MAX_TRACE_INSTRS:
             break
         segments.append(seg)
         final = t
-    segments.append((final, block_extent(blocks.instructions, final,
-                                         MAX_BLOCK_LEN), None))
+    segments.append((blocks.path_at(final), None))
     return segments
 
 
@@ -371,8 +370,8 @@ def _first_guard_span(blocks, segments):
     """
     instrs = blocks.instructions
     span = 0
-    for start, stop, chain in segments:
-        for j in range(start, stop):
+    for path, chain in segments:
+        for j in path:
             span += 1
             if instrs[j].mnemonic in _BRANCH_COND:
                 return span
@@ -384,22 +383,15 @@ def _first_guard_span(blocks, segments):
 def _compile_trace(blocks, segments):
     """Generate, ``exec`` and return ``(fn, count)`` for a trace.
 
-    The code is emitted exactly as for plain blocks (see
-    :class:`repro.sim.blocks._Emitter`); only the chained control
-    transfers between segments become guards instead of exits.
+    The code is emitted exactly as for plain blocks, segment by segment
+    (see :meth:`repro.sim.blocks._Emitter.segment`); only the chained
+    control transfers between segments become guards instead of exits.
     """
     emitter = _Emitter(blocks)
-    for start, stop, chain in segments:
-        if chain is None or chain[0] == "fall":
-            for index in range(start, stop):
-                emitter.emit(index)
-        else:
-            for index in range(start, stop - 1):
-                emitter.emit(index)
-            emitter.emit(stop - 1, chain=chain)
-    emitter.finish(segments[-1][1])
-    head_pc = blocks.base + 4 * segments[0][0]
-    fn = emitter.build("<trace@0x%x>" % head_pc)
+    for path, chain in segments:
+        emitter.segment(path, chain)
+    emitter.finish()
+    fn = emitter.build("<trace@0x%x>" % (blocks.base + 4 * segments[0][0][0]))
     return fn, emitter.k
 
 

@@ -201,11 +201,12 @@ class Machine:
                     if miss > 0:
                         entry_type_misses[current_entry] += 1
                 if done >= max_instructions:
+                    # The unit ran a prefix of its block's path.
                     raise ExecutionLimitExceeded(
                         "exceeded %d instructions at PC 0x%x"
                         % (max_instructions, cpu.pc), pc=cpu.pc,
-                        mnemonic=table.instructions[
-                            index + done - before - 1].mnemonic)
+                        mnemonic=table.instructions[table.path_at(
+                            index, done - before)[-1]].mnemonic)
         except MemoryError_ as err:
             raise self._locate(err)
 
@@ -278,15 +279,16 @@ class Machine:
                     # A unit that could reach the budget: the plain
                     # block or a single instruction instead, so the
                     # limit trips at the exact instruction, which is
-                    # the last one the straight-line unit retired.
+                    # the last one of the block path's prefix it ran.
                     c, prev = table.budget_entry(
                         index, max_instructions - done)[0](prev, x)
                     if cpu.instret >= max_instructions:
+                        blocks = table.blocks
                         raise ExecutionLimitExceeded(
                             "exceeded %d instructions at PC 0x%x"
                             % (max_instructions, cpu.pc), pc=cpu.pc,
-                            mnemonic=table.blocks.instructions[
-                                index + cpu.instret - done - 1].mnemonic)
+                            mnemonic=blocks.instructions[blocks.path_at(
+                                index, cpu.instret - done)[-1]].mnemonic)
                 cycles += c
         except MemoryError_ as err:
             raise self._locate(err)

@@ -43,20 +43,70 @@ def _machine(text, **kwargs):
 
 # -- block discovery -------------------------------------------------------------
 
-def test_blocks_end_at_terminators():
+_FOLLOW = """
+    addi a0, zero, 1
+    jal zero, over
+    addi a0, a0, 99
+over:
+    jal ra, callee
+    addi a2, zero, 3
+    ebreak
+callee:
+    addi a1, zero, 2
+    jalr zero, 0(ra)
+"""
+
+
+def test_blocks_follow_direct_jumps():
+    """A block runs through ``jal`` and a call (``jal ra``) to their
+    targets and ends at the callee's return ``jalr``; its path lists
+    the instructions it runs, in order."""
+    program = assemble(_FOLLOW)
+    table = block_table(program, DEFAULT_CONFIG)
+    assert len(table.blocks) == 8
+    assert table.path_at(0) == [0, 1, 3, 6, 7]
+    assert table.block_at(0)[1] == 5     # addi, jal, jal ra, addi, jalr
+    assert table.block_at(4)[1] == 2     # addi, ebreak
+    assert table.block_at(5)[1] == 1     # ebreak alone
+    # A shorter block is a prefix of the same path.
+    assert table.path_at(0, 3) == [0, 1, 3]
+    (cpu_ref, ref), (cpu_blk, blk) = _run_both(_FOLLOW)
+    assert blk.as_dict() == ref.as_dict()
+    assert cpu_blk.regs.value == cpu_ref.regs.value
+    assert cpu_blk.regs.value[11] == 2 and cpu_blk.regs.value[10] == 1
+
+
+def test_jal_into_the_block_or_out_of_the_program_ends_it():
     program = assemble("""
-        addi a0, zero, 1
-        addi a1, zero, 2
-        jal ra, after
-    after:
-        addi a2, zero, 3
-        ebreak
+    spin:
+        addi a0, a0, 1
+        jal zero, spin
+        jal zero, out
+        jal zero, spin
+    out:
     """)
     table = block_table(program, DEFAULT_CONFIG)
-    assert len(table.blocks) == 5
-    assert table.block_at(0)[1] == 3     # addi, addi, jal
-    assert table.block_at(3)[1] == 2     # addi, ebreak
-    assert table.block_at(4)[1] == 1     # ebreak alone
+    assert table.path_at(0) == [0, 1]    # back to its own head
+    assert table.path_at(2) == [2]       # past the last instruction
+    assert table.path_at(3) == [3, 0, 1]  # spin is not on the path yet
+    assert table.block_at(3)[1] == 3
+
+
+def test_block_capped_inside_a_followed_segment():
+    """``MAX_BLOCK_LEN`` counts every instruction on the path, so the
+    cut can fall past a followed ``jal``; the next block picks up at
+    the fall-through of the last instruction."""
+    text = "\n".join(["jal zero, body", "ebreak", "body:"]
+                     + ["addi a0, a0, 1"] * (MAX_BLOCK_LEN + 10)
+                     + ["ebreak"])
+    table = block_table(assemble(text), DEFAULT_CONFIG)
+    assert table.path_at(0) == [0] + list(range(2, MAX_BLOCK_LEN + 1))
+    assert table.block_at(0)[1] == MAX_BLOCK_LEN
+    assert table.block_at(MAX_BLOCK_LEN + 1)[1] == 12
+    (cpu_ref, ref), (cpu_blk, blk) = _run_both(text)
+    assert blk.as_dict() == ref.as_dict()
+    assert cpu_blk.regs.value[10] == cpu_ref.regs.value[10] \
+        == MAX_BLOCK_LEN + 10
 
 
 def test_blocks_capped_at_max_len():
@@ -404,6 +454,45 @@ def test_hypothesis_attributed_blocks_match_reference(
         text, lambda program: Attribution(program, *spec),
         max_instructions=budget or 1_000_000, deopt=deopt,
         overflow_bits=overflow_bits)
+
+
+def test_handler_entry_reached_through_a_jal_heads_its_own_unit():
+    """A handler entry that the block reaches through a followed
+    ``jal`` also cuts the attributed unit before it: the unit ends at
+    that ``jal``, which then exits to the entry."""
+    text = """
+        addi a0, zero, 30
+    loop:
+        addi a1, a1, 1
+        jal zero, handler
+        addi a1, a1, 99
+    handler:
+        addi a2, a2, 1
+        addi a0, a0, -1
+        bne a0, zero, loop
+        ebreak
+    """
+    program = assemble(text)
+
+    def attribution_of(program):
+        handler = program.labels["handler"]
+        return Attribution(
+            program, [("loop", program.labels["loop"], handler),
+                      ("handler", handler, handler + 12)],
+            {handler: "HANDLER"})
+
+    table = block_table(program, DEFAULT_CONFIG)
+    units = table.attributed(attribution_of(program))
+    assert table.path_at(1) == [1, 2, 4, 5, 6, 7]
+    assert units.unit_at(1)[1] == 2       # addi, jal | handler: ...
+    assert units.unit_at(4)[1] == 4
+    limit, counters, *_state = _assert_attributed_identical(
+        text, attribution_of)
+    assert limit is None
+    assert counters["bytecode_counts"] == {"HANDLER": 30}
+    assert counters["bucket_instructions"] == {"loop": 60, "handler": 90}
+    assert counters["bytecode_flat_instructions"] == {"(startup)": 3,
+                                                      "HANDLER": 149}
 
 
 def test_handler_entry_inside_a_block_heads_its_own_unit():

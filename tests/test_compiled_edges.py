@@ -11,9 +11,11 @@ state on each:
 * at the last valid address of a small RAM, for every inlined access
   width, and at an address that wraps past 2**64, the same registers,
   RAM bytes and counters;
-* on a fault — an access past the end of RAM, inside a block or a trace,
-  or the instruction budget — the same error text, ``pc`` and
-  ``mnemonic``, and the same ``cpu.pc`` and ``cpu.instret``.
+* on a fault — an access past the end of RAM, inlined or made by a
+  handler (``chklw``, ``chklb``, a host call), inside a block, a segment
+  a block reached through a ``jal``, or a trace, or the instruction
+  budget — the same error text, ``pc`` and ``mnemonic``, and the same
+  ``cpu.pc`` and ``cpu.instret``.
 """
 
 import weakref
@@ -24,6 +26,7 @@ from repro.isa.assembler import assemble
 from repro.sim import traces
 from repro.sim.cpu import Cpu
 from repro.sim.errors import SimulationError
+from repro.sim.hostcall import HostInterface
 from repro.sim.memory import Memory
 from repro.uarch.pipeline import Attribution, Machine
 from tests.test_blocks import _ATTRIBUTION_FIELDS
@@ -41,11 +44,19 @@ def pinned_threshold(monkeypatch):
     monkeypatch.setattr(traces, "_TABLES", weakref.WeakKeyDictionary())
 
 
+def _host():
+    """Host service 5 loads the dword at ``a0``, as a host call that
+    reads a guest string does."""
+    host = HostInterface()
+    host.register(5, "peek", lambda cpu, a0, *_: cpu.mem.load(a0, 8), 3)
+    return host
+
+
 def _run(text, engine, max_instructions=1_000_000):
     """Run ``text`` on ``engine`` over a :data:`RAM`-byte memory;
     returns ``(cpu, counters, error)``."""
     program = assemble(text)
-    cpu = Cpu(program, Memory(size=RAM))
+    cpu = Cpu(program, Memory(size=RAM), host=_host())
     attribution = None if engine == "traces" else Attribution(program)
     machine = Machine(cpu, attribution=attribution)
     counters = error = None
@@ -200,11 +211,17 @@ def test_budget_on_every_instruction_around_trace_formation():
 
 
 # A two-block loop walking a pointer (a0) in 64-byte steps past the end
-# of RAM; the access sits in the second block, so in a trace it is not
-# the first instruction.
+# of RAM; the access sits in the second block.  The entry block ends
+# before ``loop``, so ``loop`` is dispatched first in every iteration,
+# turns hot first and heads the trace, in which the access is not the
+# first instruction.  Taken branches close the blocks: a block would
+# run through a ``jal`` back to the head, and the loop would be one
+# block that forms no trace.  RAM is zero, so ``chklw``/``chklb`` hit
+# (``r_ctype`` is 0) until they fault.
 _WALK = """
     li a0, 0
     li a2, 0
+    bge zero, zero, loop
 loop:
     addi a2, a2, 1
     beq zero, zero, access
@@ -213,13 +230,14 @@ access:
     %s
     add a2, a2, a1
     addi a0, a0, 64
-    jal zero, loop
+    bge zero, zero, loop
 """
 
 
 @pytest.mark.parametrize("access", [
     "ld a1, 0(a0)", "lbu a1, 0(a0)", "lh a1, 0(a0)", "sd a2, 0(a0)",
-    "sb a2, 0(a0)", "fld f1, 0(a0)", "fsd f1, 0(a0)"])
+    "sb a2, 0(a0)", "fld f1, 0(a0)", "fsd f1, 0(a0)", "chklw a1, 0(a0)",
+    "chklb a1, 0(a0)"])
 def test_fault_past_the_end_of_ram_inside_a_trace(access):
     text = _WALK % access
     outcomes = _outcomes(text)
@@ -228,3 +246,61 @@ def test_fault_past_the_end_of_ram_inside_a_trace(access):
     assert error.pc == cpu.pc == assemble(text).labels["access"]
     assert error.mnemonic == access.split()[0]
     assert "at 0x%x outside memory" % RAM in str(error)
+
+
+# -- units that run through direct jumps ------------------------------------------
+
+@pytest.mark.parametrize("access", [
+    "ld a2, 0(a0)", "sd a1, 0(a0)", "chklw a2, 0(a0)", "chklb a2, 0(a0)",
+    "ecall"])
+@pytest.mark.parametrize("follow", [False, True],
+                         ids=["straight", "after-jal"])
+def test_fault_counts_the_earlier_instructions_of_its_unit(access, follow):
+    """A fault after earlier instructions of the same unit, straight
+    or past a followed ``jal``, leaves ``cpu.instret`` at the count of
+    the instructions before it, as the reference loop does; handler
+    calls (``chklw``, ``chklb``, a host call) included."""
+    jump = ["jal zero, next", "ebreak", "next:"] if follow else []
+    text = "\n".join(["li a0, 0xff0", "li a7, 5", "addi a0, a0, 16"]
+                     + jump + ["addi a1, a1, 1", access, "ebreak"])
+    cpu, error = _assert_same_fault(_outcomes(text))
+    assert cpu.instret == 5 + follow
+    assert error.mnemonic == access.split()[0]
+    assert "at 0x%x outside memory" % RAM in str(error)
+
+
+# A loop that calls a subroutine: each block runs through the ``jal``
+# and the call into ``callee``, and ends at its return ``jalr``.
+_CALLS = """
+    li a0, 0
+loop:
+    addi a0, a0, 1
+    jal zero, body
+    addi a0, a0, 99
+body:
+    jal ra, callee
+    addi a1, a1, 2
+    bge zero, zero, loop
+callee:
+    addi a2, a2, 3
+    xor a3, a2, a0
+    jalr zero, 0(ra)
+"""
+
+
+def test_budget_on_every_instruction_of_a_followed_segment():
+    """The budget trips on every instruction of a unit that runs
+    through a ``jal`` and a call, with the reference loop's pc and
+    mnemonic: the limit's mnemonic is read from the unit's path."""
+    program = assemble(_CALLS)
+    loop, body, callee = (program.labels[name]
+                          for name in ("loop", "body", "callee"))
+    # One iteration, in the order it runs.
+    order = [program.instructions[(pc - program.base) >> 2].mnemonic
+             for pc in (loop, loop + 4, body, callee, callee + 4,
+                        callee + 8, body + 4, body + 8)]
+    for budget in range(2, 2 + 3 * len(order)):
+        cpu, error = _assert_same_fault(
+            _outcomes(_CALLS, max_instructions=budget))
+        assert cpu.instret == budget
+        assert error.mnemonic == order[(budget - 2) % len(order)]

@@ -3,8 +3,8 @@
 The guest views are exercised against real compiler output — not
 hand-assembled words — so they stay honest about the encodings the
 engines actually emit.  The host-ISA layer is covered indirectly by
-the block/trace engine suites; ``block_extent`` gets a direct check
-here because analyses call it too.
+the block/trace engine suites; the block path walk (``block_path``)
+gets a direct check here.
 """
 
 import pytest
@@ -188,19 +188,34 @@ def test_js_local_def_use_inside_function():
 # -- host-ISA layer ----------------------------------------------------------------
 
 class _Fake:
-    def __init__(self, mnemonic):
+    def __init__(self, mnemonic, imm=0):
         self.mnemonic = mnemonic
+        self.imm = imm
 
 
-def test_block_extent_stops_at_terminator():
+def test_block_path_stops_at_terminator():
     instrs = [_Fake("addi"), _Fake("ld"), _Fake("jalr"), _Fake("addi")]
-    assert ir.block_extent(instrs, 0, ir.MAX_BLOCK_LEN) == 3
-    assert ir.block_extent(instrs, 3, ir.MAX_BLOCK_LEN) == 4
+    assert ir.block_path(instrs, 0, 0, ir.MAX_BLOCK_LEN) == [0, 1, 2]
+    assert ir.block_path(instrs, 0, 3, ir.MAX_BLOCK_LEN) == [3]
 
 
-def test_block_extent_caps_length():
+def test_block_path_caps_length():
     instrs = [_Fake("addi")] * 100
-    assert ir.block_extent(instrs, 0, ir.MAX_BLOCK_LEN) == ir.MAX_BLOCK_LEN
+    assert ir.block_path(instrs, 0, 0, ir.MAX_BLOCK_LEN) \
+        == list(range(ir.MAX_BLOCK_LEN))
+
+
+def test_block_path_follows_jal():
+    """A ``jal`` is followed to its target, which is relative to the
+    program base; a target on the path, outside the program or between
+    two instructions ends the path at the ``jal``."""
+    base = 0x1000
+    instrs = [_Fake("addi"), _Fake("jal", 8), _Fake("ebreak"),
+              _Fake("jal", -12), _Fake("jal", 2), _Fake("jal", 64)]
+    assert ir.block_path(instrs, base, 0, ir.MAX_BLOCK_LEN) == [0, 1, 3]
+    assert ir.block_path(instrs, base, 0, 2) == [0, 1]
+    assert ir.block_path(instrs, base, 4, ir.MAX_BLOCK_LEN) == [4]
+    assert ir.block_path(instrs, base, 5, ir.MAX_BLOCK_LEN) == [5]
 
 
 def test_host_metadata_shapes():

@@ -95,10 +95,11 @@ even:
 # -- formation -------------------------------------------------------------------
 
 # A two-block loop (the always-taken `beq` splits it) whose head runs
-# once per iteration; the `jal` ends the entry block before the loop.
+# once per iteration; the always-taken `bge` ends the entry block before
+# the loop (a block would run through a `jal` into it).
 _TWO_BLOCK_LOOP = """
     li a0, %d
-    jal zero, loop
+    bge zero, zero, loop
 loop:
     addi a1, a1, 1
     beq zero, zero, mid
@@ -183,16 +184,17 @@ def test_trace_counters_identical_on_hot_loop():
 # (`bne a4`), which sits at the very head of the loop trace; phase 2
 # flips it, so the trace's *first* guard fails on every dispatch and
 # its per-dispatch execution collapses below the profit bar.  The
-# `jal zero, loop` ends the entry block right before the loop (so the
-# loop head — not an interior block — trains first), and the
-# always-taken `beq` splits the high path into two blocks so a trace
-# forms at all (a single-block loop is already covered by its block).
+# always-taken `bge zero, zero, loop` ends the entry block right before
+# the loop (so the loop head — not an interior block — trains first),
+# and the always-taken `beq` splits the high path into two blocks so a
+# trace forms at all (a single-block loop is already covered by its
+# block).  The low path's block runs through its `jal` into `cont`.
 _PHASE_FLIP = """
     addi a0, zero, 400
     addi a3, zero, 200
     addi a1, zero, 0
     addi a2, zero, 0
-    jal zero, loop
+    bge zero, zero, loop
 loop:
     slt a4, a0, a3
     bne a4, zero, low
@@ -354,6 +356,20 @@ _DIAMOND = """    andi a6, a0, 1
 d{n}:"""
 
 
+# A direct jump over a dead instruction, which blocks follow.
+_SKIP = """    jal zero, s{n}
+    addi a1, a1, 77
+s{n}:"""
+
+# A call into a subroutine placed after the ``ebreak``, which returns
+# by ``jalr``: a block follows the call and ends at the return.
+_CALL = "    jal ra, sub{n}"
+_SUBROUTINE = """sub{n}:
+    addi a2, a2, {n}
+    xor a3, a3, a2
+    jalr zero, 0(ra)"""
+
+
 @st.composite
 def _loop_programs(draw):
     iters = draw(st.integers(min_value=1, max_value=120))
@@ -362,13 +378,21 @@ def _loop_programs(draw):
     for n in range(draw(st.integers(min_value=0, max_value=2))):
         body.insert(draw(st.integers(min_value=0, max_value=len(body))),
                     _DIAMOND.format(n=n))
+    subroutines = []
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(min_value=0, max_value=len(body))),
+                    _SKIP.format(n=0))
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(min_value=0, max_value=len(body))),
+                    _CALL.format(n=1))
+        subroutines.append(_SUBROUTINE.format(n=1))
     return "\n".join(
         ["    addi a0, zero, %d" % iters,
          "    addi a1, zero, 0",
          "loop:"] + ["    %s" % op.strip() for op in body] +
         ["    addi a0, a0, -1",
          "    bne a0, zero, loop",
-         "    ebreak"])
+         "    ebreak"] + subroutines)
 
 
 @settings(max_examples=30, deadline=None)
