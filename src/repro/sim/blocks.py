@@ -32,13 +32,23 @@ Each block is compiled to one generated Python function that
   calls the same semantic handlers as ``Cpu.step`` for the rest,
 * probes the I-cache once per fetched line instead of once per
   instruction (re-fetches of the MRU line are guaranteed hits, so the
-  miss count, LRU state and DRAM interleaving are exactly preserved;
-  the access counter is bulk-credited at the block exits),
+  miss count, LRU state and DRAM interleaving are exactly preserved),
+  and takes D-cache hits inline, LRU moves included,
 * resolves load-use stalls statically: inside a block both sides of
   every producer/consumer pair are known at compile time, so only the
   stall against the *previous* block's last load needs a runtime check,
 * folds base cycles, execution-unit latencies and ``instret`` into
   per-exit constants.
+
+A unit returns ``(cycles, exit)``.  ``exit`` names one of the
+:class:`Exit` records its table fixed when the unit was emitted: what
+the path to that exit retired, fetched, probed in the D-cache,
+predicted and stalled, the load-use carry into the next unit, and the
+type hits and miss on the way.  Dispatch loops count the exits of one
+run in a histogram and fold it into the machine's totals once
+(:meth:`BlockTable.fold`), so no exit pays for those counters, as a
+translated block in QEMU returns the exit it took and leaves the rest
+to its dispatcher.
 
 Guard failures (taken branch, type-misprediction redirect, overflow
 trap, checked-load miss, ``thdl`` deoptimisation) simply return to the
@@ -52,8 +62,9 @@ Blocks are the cold path of the superblock *trace* engine
 (:mod:`repro.sim.traces`): its dispatch loop runs them until a head
 turns hot and wherever a trace side-exits.  They are also the units of
 the attributed dispatch loop
-(:meth:`repro.uarch.pipeline.Machine._run_blocks`), which charges
-per-bytecode attribution per call from :class:`AttributedUnits`.  The
+(:meth:`repro.uarch.pipeline.Machine._run_blocks`), which folds
+per-bytecode attribution from the same exit histogram
+(:class:`AttributedUnits`).  The
 per-instruction code generator itself lives in :class:`_Emitter`, and
 one segment emitter (:meth:`_Emitter.segment`) writes both a block (one
 segment: its path) and a trace (several block-path prefixes, chained
@@ -65,8 +76,11 @@ so one sweep compiles each interpreter's hot blocks exactly once.
 """
 
 import builtins
+import threading
 import weakref
+from itertools import compress
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.engines.ir import (
     ALU,
@@ -95,6 +109,34 @@ from repro.sim.memory import LOADS, STORES, WIDTH_CODES
 from repro.sim.trt import TRT_OPCODES
 
 
+class Exit(NamedTuple):
+    """One exit of a compiled unit, fixed when the unit is emitted.
+
+    ``fetches``, ``dprobes``, ``branches`` and ``stalls`` are the
+    I-cache accesses, inlined D-cache probes, conditional branches and
+    indirect jumps, and compile-time load-use stalls of the path to the
+    exit, which the dispatch loops fold into the machine once per run
+    (:meth:`BlockTable.fold`); a probe that calls
+    :meth:`~repro.uarch.cache.Cache.access` counts itself, so the
+    inlined slow paths pre-decrement.  ``instret`` is the instructions
+    the path retired (the unit adds them to ``cpu.instret`` itself),
+    ``carry`` the load destination carried into the next call's
+    ``prev`` (``-1`` for none) and ``head`` the index the unit is
+    entered at.  ``hits`` counts the tagged ALU ops and checks passed
+    on the way, and ``miss`` is ``1`` on the redirect exit of one.
+    """
+
+    instret: int
+    fetches: int
+    dprobes: int
+    branches: int
+    stalls: int
+    carry: int
+    head: int
+    hits: int
+    miss: int
+
+
 class BlockTable:
     """Lazily compiled superinstruction blocks for one program/config.
 
@@ -103,7 +145,12 @@ class BlockTable:
     (unbailed) execution — or ``None`` before first use.  ``fn`` takes
     only per-run state, ``fn(prev, x)``: the load-use stall carry and
     the run's :func:`unit_state` tuple, so one table serves every run
-    of the same program under the same machine configuration.
+    of the same program under the same machine configuration.  It
+    returns ``(cycles, exit)``: ``exits[exit]`` is the :class:`Exit`
+    record of the exit it took, and ``carry[exit]`` the ``prev`` of the
+    next call.  Every unit compiled against the table — blocks,
+    attributed cuts, singles, traces and degraded entries — numbers
+    its exits in these two lists.
     """
 
     def __init__(self, program, config):
@@ -123,6 +170,11 @@ class BlockTable:
         self.blocks = [None] * len(program.instructions)
         self._singles = {}
         self._attributed = None
+        self.exits = []
+        self.carry = []
+        # Two threads may compile into one table at once (a shard's
+        # pool thread and a sweep's): exit ids are handed out under it.
+        self._exits_lock = threading.Lock()
         self.compiled = 0
         self.compile_failures = 0
         #: Host seconds spent compiling this table's blocks and singles.
@@ -197,6 +249,35 @@ class BlockTable:
             self._attributed = units
         return units
 
+    def fix_exits(self, records):
+        """Append one unit's exit ``records`` to :attr:`exits` (and
+        their carries to :attr:`carry`) before the unit can run; the
+        unit returns the id of its ``i``-th record as ``first + i``,
+        and this returns ``first``."""
+        with self._exits_lock:
+            first = len(self.exits)
+            self.exits.extend(records)
+            self.carry.extend(record.carry for record in records)
+        return first
+
+    def fold(self, histogram, machine):
+        """Credit one run's exit ``histogram`` (calls per exit id) to
+        ``machine``: its I- and D-cache accesses, front-end branches
+        and load-use stalls."""
+        exits = self.exits
+        fetches = dprobes = branches = stalls = 0
+        for e in compress(range(len(histogram)), histogram):
+            n = histogram[e]
+            record = exits[e]
+            fetches += n * record.fetches
+            dprobes += n * record.dprobes
+            branches += n * record.branches
+            stalls += n * record.stalls
+        machine.icache.accesses += fetches
+        machine.dcache.accesses += dprobes
+        machine.frontend.branches += branches
+        machine.counters.load_use_stalls += stalls
+
     def _degrade(self, index, err):
         """Record a compile failure and build the interpreted-step
         fallback entry for ``index``."""
@@ -213,15 +294,18 @@ class BlockTable:
 
 
 class AttributedUnits:
-    """Block units with the static charges of one attribution map, for
-    the attributed dispatch loop
-    (:meth:`repro.uarch.pipeline.Machine._run_blocks`).
+    """Block units for one attribution map, for the attributed dispatch
+    loop (:meth:`repro.uarch.pipeline.Machine._run_blocks`).
 
     Attribution is static per instruction index, and a unit runs its
     block's path (:meth:`BlockTable.path_at`), which it leaves only
-    after a prefix, so what one call charges depends only on how many
-    instructions it retired.
-    ``units[index]`` holds ``(fn, count, entry, summary)``, built on
+    after a prefix, so what one call charges follows from the exit it
+    took: the bucket counts of the ``instret`` first instructions of
+    the path at the exit's ``head``, the entry id there, and the
+    exit's type hits and miss (``chklw``, timed as a plain load, and
+    ``thdl`` count as neither, as in the reference loop).  The loop
+    folds those from its exit histogram once per run (:meth:`fold`).
+    ``units[index]`` holds ``(fn, count, entry, typed)``, built on
     first use:
 
     * ``fn``/``count`` — the block entered at ``index``, cut just
@@ -229,15 +313,9 @@ class AttributedUnits:
       through a followed ``jal`` included), so every entry heads a unit
       and flat spans close between calls;
     * ``entry`` — the handler entry id at ``index`` (``-1`` for none);
-    * ``summary[k]`` — the charges of a call that retired ``k``
-      instructions: ``(pairs, hits, miss)``, with the ``(bucket,
-      count)`` increments, the type hits among the first ``k - 1``
-      instructions (a tagged ALU or check that redirects leaves the
-      unit, so those all hit), and what instruction ``k - 1`` was:
-      ``1`` for a tagged ALU or check whose early exit is a type miss,
-      ``-1`` for one that ends the unit (``cpu.redirect`` tells), and
-      ``0`` for anything else.  ``chklw`` (timed as a plain load) and
-      ``thdl`` count as neither, as in the reference loop.
+    * ``typed`` — whether the unit holds a tagged ALU op or a check and
+      no entry heads it: its type hits and misses belong to whichever
+      bytecode is running, so the loop charges them per call.
     """
 
     def __init__(self, table, attribution):
@@ -245,6 +323,9 @@ class AttributedUnits:
         self.attribution = attribution
         self.units = [None] * len(table.blocks)
         self._singles = {}
+        # Exit id -> the ``(bucket, count)`` charges of one call that
+        # leaves by it, built when a fold first meets the exit.
+        self._charges = {}
 
     def unit_at(self, index):
         """The unit entered at ``index``, building it on first use."""
@@ -274,24 +355,55 @@ class AttributedUnits:
     def _unit(self, path, fn):
         """The unit tuple of ``fn``, which runs the instructions at
         ``path``."""
-        bucket_of = self.attribution.bucket_of
+        entry = self.attribution.entry_of[path[0]]
         kinds = self.table.kinds
-        last = len(path) - 1
-        summary = [None]
+        typed = entry < 0 and any(
+            kinds[j] == K_TAGGED_ALU or kinds[j] == K_CHECK for j in path)
+        return fn, len(path), entry, typed
+
+    def fold(self, histogram, bucket_counts, entry_counts,
+             entry_type_hits, entry_type_misses):
+        """Add one run's attribution to the tallies from its exit
+        ``histogram``: bucket counts, and for the exits of units that
+        an entry heads, that entry's count and type hits and misses."""
+        exits = self.table.exits
+        entry_of = self.attribution.entry_of
+        charges = self._charges
+        for e in compress(range(len(histogram)), histogram):
+            n = histogram[e]
+            record = exits[e]
+            pairs = charges.get(e)
+            if pairs is None:
+                pairs = charges[e] = self._buckets(record)
+            for bucket, count in pairs:
+                bucket_counts[bucket] += n * count
+            entry = entry_of[record.head]
+            if entry >= 0:
+                entry_counts[entry] += n
+                entry_type_hits[entry] += n * record.hits
+                entry_type_misses[entry] += n * record.miss
+
+    def _buckets(self, record):
+        """The ``(bucket, count)`` pairs of one call that leaves by
+        ``record``."""
+        bucket_of = self.attribution.bucket_of
         buckets = {}
-        hits = 0
-        for position, j in enumerate(path):
+        for j in self.table.path_at(record.head, record.instret):
             bucket = bucket_of[j]
             if bucket >= 0:
                 buckets[bucket] = buckets.get(bucket, 0) + 1
-            pairs = tuple(buckets.items())
-            if kinds[j] == K_TAGGED_ALU or kinds[j] == K_CHECK:
-                summary.append((pairs, hits,
-                                1 if position < last else -1))
-                hits += 1
-            else:
-                summary.append((pairs, hits, 0))
-        return fn, len(path), self.attribution.entry_of[path[0]], summary
+        return tuple(buckets.items())
+
+
+def count_exit(histogram, exit_id, table):
+    """Count ``exit_id`` in one run's exit ``histogram``, first
+    extending the histogram over the exit records ``table`` fixed since
+    it was sized: units compiled during the run, by its own thread or
+    by another.  The dispatch loops call it where the bare increment
+    would raise ``IndexError``, so it costs nothing per call."""
+    if exit_id >= len(histogram):
+        histogram.extend([0] * (len(table.exits) - len(histogram)))
+    histogram[exit_id] += 1
 
 
 _SIGN = 1 << 63
@@ -400,8 +512,9 @@ class _Emitter:
     The generated code mirrors the per-instruction timing loop of
     :meth:`Machine.run_reference` statement for statement, and
     *inlines* the stateful helpers themselves — gshare/BTB/RAS
-    training, the I- and D-cache MRU probes, the functional memory
-    access and the TRT probe — instead of calling them.  The inlined
+    training, the I-cache MRU probe, the D-cache hit paths, the
+    functional memory access and the TRT probe — instead of calling
+    them.  The inlined
     code manipulates the very same model state (counter lists, LRU
     order lists, the tag sets, the guest-RAM ``mmap``, the TRT rule
     dict), with slow paths falling back to the real methods, so the
@@ -432,18 +545,25 @@ class _Emitter:
         self.d_mask = config.dcache.sets - 1
         self.i_mask = config.icache.sets - 1
         self.sig = ["prev", "x"]
+        # Generated lines, and for each exit's return a placeholder
+        # ``(indent, cycles, position)``: the exit's id is known only
+        # once the table fixes the unit's records (:meth:`build`).
         self.body = []
+        self.exits = []     # the unit's Exit records, in emit order
+        self.head = None    # the index the unit is entered at
         # Global history lives in a local (``gh``) once a branch has
         # been inlined: read at entry, flushed back at every later exit.
         self.history = False
         self._bound = set()  # instruction indices already bound in sig
         # Statically accumulated state, snapshotted at every exit point:
         # cycles, load-use stalls, conditional branches + indirect jumps
-        # executed so far, and inlined D-cache probes to bulk-credit.
+        # executed so far, inlined D-cache probes to credit, and tagged
+        # ALU ops and checks passed.
         self.pend = 0
         self.stalls = 0
         self.fe_branches = 0
         self.dprobes = 0
+        self.type_hits = 0
         self.prev_out = -1  # load destination carried one instruction
         # ``cpu.pc`` is materialised lazily: inlined instructions skip
         # the per-instruction update, so it must be restored from the
@@ -463,25 +583,22 @@ class _Emitter:
         self.untyped = set()
         self.k = 0          # instructions emitted so far
 
-    def emit_exit(self, executed, prev_value, indent, exit_pc=None):
+    def emit_exit(self, executed, carry, indent, exit_pc=None, miss=0):
+        """Emit an exit after ``executed`` instructions: ``cpu.pc`` (when
+        ``exit_pc`` is given), ``cpu.instret``, the gshare history and
+        the return of ``(cycles, exit)``.  The static rest goes into the
+        exit's :class:`Exit` record, with the load-use ``carry`` and
+        ``miss`` (``1`` for a type redirect)."""
         body = self.body
         if exit_pc is not None:
             body.append("%scpu.pc = %d" % (indent, exit_pc))
         body.append("%scpu.instret += %d" % (indent, executed))
-        # Every fetch is credited in bulk; the inlined I-cache probes'
-        # slow paths pre-decrement for the count ``ic`` adds itself.
-        body.append("%sicc.accesses += %d" % (indent, executed))
-        if self.stalls:
-            body.append("%sct.load_use_stalls += %d"
-                        % (indent, self.stalls))
-        if self.fe_branches:
-            body.append("%sfe.branches += %d" % (indent, self.fe_branches))
-        if self.dprobes:
-            body.append("%sdcc.accesses += %d" % (indent, self.dprobes))
         if self.history:
             body.append("%sg_.history = gh" % indent)
-        body.append("%sreturn c + %d, %d"
-                    % (indent, self.pend, prev_value))
+        self.exits.append(Exit(
+            executed, executed, self.dprobes, self.fe_branches,
+            self.stalls, carry, self.head, self.type_hits, miss))
+        body.append((indent, self.pend, len(self.exits) - 1))
 
     def _call(self, index):
         """Bind handler/instruction ``index`` as default arguments (once
@@ -578,21 +695,25 @@ class _Emitter:
         body.append(A + "if len(rs_) > %d: del rs_[0]" % self.ras_entries)
 
     def _dc_fused(self, addr, A):
-        """Inline the D-cache MRU fast path for an access to ``addr``.
+        """Inline the D-cache hit paths for an access to ``addr``.
 
-        A re-touch of a set's MRU line is a hit with no LRU movement,
-        so only the tag compare runs inline; anything else falls back
-        to the real :meth:`Cache.access`.  The access counter is
-        bulk-credited at the exits (``self.dprobes``), so the fallback
-        pre-decrements to compensate for its own count.
+        A re-touch of a set's MRU line is a hit with no LRU movement;
+        a hit on another line of the set moves it to MRU, as
+        :meth:`Cache.access` does.  Only a miss calls the real method.
+        The access counter is credited by the fold (``self.dprobes``),
+        so the miss path pre-decrements to compensate for its own count.
         """
         self.dprobes += 1
         body = self.body
         body.append(A + "ln = %s >> %d" % (addr, self.d_shift))
         body.append(A + "e_ = ds[ln & %d]" % self.d_mask)
         body.append(A + "if not (e_ and e_[-1] == ln):")
-        body.append(A + "    dcc.accesses -= 1")
-        body.append(A + "    if not dc(%s): c += dr(%s)" % (addr, addr))
+        body.append(A + "    if ln in e_:")
+        body.append(A + "        e_.remove(ln)")
+        body.append(A + "        e_.append(ln)")
+        body.append(A + "    else:")
+        body.append(A + "        dcc.accesses -= 1")
+        body.append(A + "        if not dc(%s): c += dr(%s)" % (addr, addr))
 
     def _in_ram(self, pc, addr, width, A):
         """Guard an inlined access of ``width`` bytes at ``addr`` by
@@ -613,7 +734,7 @@ class _Emitter:
         body.append(A + "    cpu._deopt_sites[s_][1] += 1")
         body.append(A + "    cpu._active_thdl_site = None")
         body.append(A + "c += %d" % self.redirect_penalty)
-        self.emit_exit(k + 1, -1, A)
+        self.emit_exit(k + 1, -1, A, miss=1)
 
     def emit(self, index, chain=None):
         i = self.instrs[index]
@@ -623,6 +744,8 @@ class _Emitter:
         body = self.body
         lat = self.lat
         k = self.k
+        if not k:
+            self.head = index
         # Base cycle (single-issue in-order) plus the execution unit's
         # extra latency, both charged on every execution.
         self.pend += 1 + self.table.extra.get(kind, 0)
@@ -641,12 +764,12 @@ class _Emitter:
             self.stalls += 1
 
         # One real I-cache probe per fetched line; later instructions on
-        # the line are guaranteed MRU hits, credited at the exits.
+        # the line are guaranteed MRU hits, credited by the exit fold.
         if self.prev_pc is None or \
                 (pc >> self.line_shift) != (self.prev_pc >> self.line_shift):
             # The set index and tag are compile-time constants, so even
             # the MRU hit check is inlined; the slow path compensates
-            # the bulk access credit.
+            # the folded access credit.
             line = pc >> self.line_shift
             body.append("    e_ = iss[%d]" % (line & self.i_mask))
             body.append("    if not (e_ and e_[-1] == %d):" % line)
@@ -905,6 +1028,7 @@ class _Emitter:
                 self.untyped.discard(i.rd)
             if mn == "xmul":
                 self.pend += lat.mul  # charged on the fast path
+            self.type_hits += 1  # on every later exit
             self.pc_stale = True
         elif mn in ALU:
             if i.rd:
@@ -949,7 +1073,8 @@ class _Emitter:
                     self._dc_fused("a", "    ")
                 body.append("    if cpu.redirect:")
                 body.append("        c += %d" % self.redirect_penalty)
-                self.emit_exit(k + 1, -1, "        ")
+                self.emit_exit(k + 1, -1, "        ", miss=1)
+                self.type_hits += 1
                 if mn != "tchk":
                     prev_next = i.rd or -1
             elif kind == K_ECALL:
@@ -993,12 +1118,17 @@ class _Emitter:
             self.emit_exit(self.k, self.prev_out, "    ", exit_pc=exit_pc)
 
     def build(self, filename):
-        """Assemble, ``compile`` and ``exec`` the generated function."""
+        """Fix the unit's exit records in the table, then assemble,
+        ``compile`` and ``exec`` the generated function."""
+        first = self.table.fix_exits(self.exits)
         lines = ["def _block(%s):" % ", ".join(self.sig), _UNPACK,
                  "    c = 0"]
         if self.history:
             lines.append("    gh = g_.history")
-        lines.extend(self.body)
+        lines.extend(
+            line if type(line) is str
+            else "%sreturn c + %d, %d" % (line[0], line[1], first + line[2])
+            for line in self.body)
         # The handler/instruction defaults are evaluated at ``def``
         # time from these locals; the function's globals are shared.
         local = {"_h": self.table._h, "_i": self.table._i}
@@ -1025,6 +1155,10 @@ def _fallback_block(table, index):
     :meth:`repro.uarch.pipeline.Machine.run_reference`, so counters
     stay bit-identical with both engines even for degraded entries.
     It never ``exec``-compiles anything, so it cannot itself fail.
+
+    Its model calls count themselves, so its exit records credit
+    nothing: one per outcome, the load-use carry and, for a tagged ALU
+    op or check, a hit or a miss.
     """
     instr = table.instructions[index]
     kind = table.kinds[index]
@@ -1034,6 +1168,12 @@ def _fallback_block(table, index):
     rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
     mnemonic = instr.mnemonic
     extra = table.extra.get(kind, 0)
+    typed = kind == K_TAGGED_ALU or kind == K_CHECK
+    loads = rd and (kind == K_LOAD or kind == K_CHECK and mnemonic != "tchk")
+    done = table.fix_exits(
+        [Exit(1, 0, 0, 0, 0, rd if loads else -1, index, int(typed), 0)]
+        + ([Exit(1, 0, 0, 0, 0, -1, index, 0, 1)] if typed else []))
+    missed = done + 1
 
     def step(prev, x):
         cpu, ic, dc, dr, fe, ct = x[:6]
@@ -1043,7 +1183,7 @@ def _fallback_block(table, index):
             if rs1 == prev or rs2 == prev:
                 c += lus
                 ct.load_use_stalls += 1
-        out_prev = -1
+        exit_id = done
         if not ic(pc):
             c += dr(pc)
         if kind:
@@ -1054,14 +1194,7 @@ def _fallback_block(table, index):
             elif kind == K_JALR:
                 c += fe.indirect_jump(pc, cpu.pc, rd == 0 and rs1 == 1,
                                       rd == 1, pc + 4)
-            elif kind == K_LOAD:
-                if not dc(cpu.mem_addr):
-                    c += dr(cpu.mem_addr)
-                if cpu.mem_addr2 is not None and not dc(cpu.mem_addr2):
-                    c += dr(cpu.mem_addr2)
-                if rd:
-                    out_prev = rd
-            elif kind == K_STORE:
+            elif kind == K_LOAD or kind == K_STORE:
                 if not dc(cpu.mem_addr):
                     c += dr(cpu.mem_addr)
                 if cpu.mem_addr2 is not None and not dc(cpu.mem_addr2):
@@ -1069,18 +1202,17 @@ def _fallback_block(table, index):
             elif kind == K_TAGGED_ALU:
                 if cpu.redirect:
                     c += fe.pipeline_redirect()
+                    exit_id = missed
                 elif cpu.regs.fbit[rd]:
                     c += lat.fp_alu if mnemonic != "xmul" else lat.mul
                 elif mnemonic == "xmul":
                     c += lat.mul
             elif kind == K_CHECK:
-                is_load = mnemonic != "tchk"
-                if is_load and not dc(cpu.mem_addr):
+                if mnemonic != "tchk" and not dc(cpu.mem_addr):
                     c += dr(cpu.mem_addr)
                 if cpu.redirect:
                     c += fe.pipeline_redirect()
-                elif is_load and rd:
-                    out_prev = rd
+                    exit_id = missed
             elif kind == K_ECALL:
                 cost = cpu.pending_host_cost
                 cpu.pending_host_cost = 0
@@ -1089,7 +1221,7 @@ def _fallback_block(table, index):
                 c += int(cost * lat.host_cpi)
             else:
                 c += extra
-        return c, out_prev
+        return c, exit_id
 
     return step
 

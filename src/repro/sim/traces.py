@@ -49,7 +49,7 @@ import weakref
 from time import perf_counter
 
 from repro.engines.ir import BRANCH_COND as _BRANCH_COND, MASK64 as _M
-from repro.sim.blocks import _Emitter, block_table
+from repro.sim.blocks import _Emitter, block_table, count_exit
 
 #: A block becomes a trace head after this many dispatch-loop entries:
 #: the break-even point of a rent-or-buy rule, where the head's block
@@ -178,20 +178,23 @@ class TraceTable:
             entry = self.blocks.single_at(index)
         return entry
 
-    def record_and_run(self, index, cpu, prev, x, max_instructions):
+    def record_and_run(self, index, cpu, prev, x, max_instructions,
+                       histogram):
         """Record the hot path from ``index`` while executing it per
         block (``x`` is the run's state tuple), then compile and install
         a trace for the head.
 
-        Returns ``(cycles, prev)`` for the span actually executed, so
-        the dispatch loop treats recording like any other unit call.
-        Recording stops when the path returns to the head (a loop
-        closed), leaves the program, reaches :data:`MAX_TRACE_BLOCKS`,
-        halts, or before a block that could reach the instruction
-        budget (the dispatch loop runs that one, so the limit trips
-        with its exact instruction).
+        Each block's exit is counted in the run's exit ``histogram``
+        (see :func:`~repro.sim.blocks.count_exit`).  Returns ``(cycles,
+        prev)`` for the span actually executed: the cycles and the
+        load-use carry of the last block.  Recording stops when the path
+        returns to the head (a loop closed), leaves the program,
+        reaches :data:`MAX_TRACE_BLOCKS`, halts, or before a block that
+        could reach the instruction budget (the dispatch loop runs that
+        one, so the limit trips with its exact instruction).
         """
         blocks = self.blocks
+        carry = blocks.carry
         base = self.base
         size = len(self.entries)
         head = index
@@ -201,8 +204,10 @@ class TraceTable:
             entry = blocks.block_at(path[-1])
             if cpu.instret + entry[1] >= max_instructions:
                 break
-            c, prev = entry[0](prev, x)
+            c, e = entry[0](prev, x)
             cycles += c
+            count_exit(histogram, e, blocks)
+            prev = carry[e]
             if cpu.halted:
                 break
             nxt = (cpu.pc - base) >> 2

@@ -29,7 +29,14 @@ class Cache:
         self.on_miss = None
 
     def access(self, addr):
-        """Access the line containing ``addr``; returns True on a hit."""
+        """Access the line containing ``addr``; returns True on a hit.
+
+        Compiled units inline copies of its hit paths: both for the
+        D-cache, which then calls it only on a miss
+        (``repro.sim.blocks._Emitter._dc_fused``), and the MRU one for
+        the I-cache.  A change to the replacement policy must be made
+        there too.
+        """
         self.accesses += 1
         line = addr >> self.line_shift
         entry = self._sets[line & self.set_mask]

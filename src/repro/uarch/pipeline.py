@@ -125,14 +125,19 @@ class Machine:
         """Block-at-a-time dispatch loop with attribution.
 
         Runs the shared compiled blocks (:mod:`repro.sim.blocks`) and
-        charges attribution per call from the unit's static summary,
-        indexed by how many instructions the call retired (see
-        :class:`~repro.sim.blocks.AttributedUnits`).  Every handler
-        entry heads a unit, so entry counts and flat spans are kept
-        once per bytecode, from the running cycle total, with the
-        arithmetic of :meth:`run_reference`.
+        counts the exit each call took in a histogram of this run's
+        own.  When the run ends, however it ends, the histogram is
+        folded into the cache, front-end and stall totals; on success
+        also into the bucket counts, entry counts and the type hits and
+        misses of units that an entry heads (see
+        :class:`~repro.sim.blocks.AttributedUnits`).  Per call the loop
+        keeps only what is dynamic: every handler entry heads a unit,
+        so flat spans close once per bytecode from the running cycle
+        total, with the arithmetic of :meth:`run_reference`, and a
+        unit with type checks that no entry heads charges its hits and
+        misses to the bytecode running.
         """
-        from repro.sim.blocks import block_table, unit_state
+        from repro.sim.blocks import block_table, count_exit, unit_state
 
         cpu = self.cpu
         attribution = self.attribution
@@ -141,10 +146,11 @@ class Machine:
         slots = units.units
         size = len(slots)
         base = table.base
+        exits = table.exits
+        carry = table.carry
+        histogram = [0] * len(exits)
         x = unit_state(self)
         entry_names = attribution.entry_names
-        bucket_counts = [0] * len(attribution.bucket_names)
-        entry_counts = [0] * len(entry_names)
         entry_type_hits = [0] * len(entry_names)
         entry_type_misses = [0] * len(entry_names)
         flat_instructions = [0] * (len(entry_names) + 1)
@@ -170,7 +176,7 @@ class Machine:
                     # Close to the budget: a single instruction, so the
                     # limit trips at the exact instruction.
                     unit = units.single_at(index)
-                fn, _count, entry, summary = unit
+                fn, _count, entry, typed = unit
                 if entry >= 0:
                     # Close the previous flat span (see run_reference).
                     flat_cycles[current_entry + 1] += cycles - span_cycles
@@ -178,40 +184,36 @@ class Machine:
                         before - span_instret
                     span_cycles = cycles
                     span_instret = before
-                    entry_counts[entry] += 1
                     current_entry = entry
-                # The inlined tagged ALU sets the flag only on a miss.
-                cpu.redirect = False
-                c, prev = fn(prev, x)
+                c, e = fn(prev, x)
                 cycles += c
-                done = cpu.instret
-                pairs, hits, miss = summary[done - before]
-                for bucket, count in pairs:
-                    bucket_counts[bucket] += count
-                if current_entry >= 0:
-                    if miss < 0:
-                        # A tagged ALU or check ended the unit: the flag
-                        # tells whether it redirected.
-                        if cpu.redirect:
-                            miss = 1
-                        else:
-                            hits += 1
-                    if hits:
-                        entry_type_hits[current_entry] += hits
-                    if miss > 0:
-                        entry_type_misses[current_entry] += 1
-                if done >= max_instructions:
+                try:
+                    histogram[e] += 1
+                except IndexError:
+                    count_exit(histogram, e, table)
+                prev = carry[e]
+                if typed and current_entry >= 0:
+                    record = exits[e]
+                    entry_type_hits[current_entry] += record.hits
+                    entry_type_misses[current_entry] += record.miss
+                if cpu.instret >= max_instructions:
                     # The unit ran a prefix of its block's path.
                     raise ExecutionLimitExceeded(
                         "exceeded %d instructions at PC 0x%x"
                         % (max_instructions, cpu.pc), pc=cpu.pc,
                         mnemonic=table.instructions[table.path_at(
-                            index, done - before)[-1]].mnemonic)
+                            index, cpu.instret - before)[-1]].mnemonic)
         except MemoryError_ as err:
             raise self._locate(err)
+        finally:
+            table.fold(histogram, self)
 
         flat_cycles[current_entry + 1] += cycles - span_cycles
         flat_instructions[current_entry + 1] += cpu.instret - span_instret
+        bucket_counts = [0] * len(attribution.bucket_names)
+        entry_counts = [0] * len(entry_names)
+        units.fold(histogram, bucket_counts, entry_counts,
+                   entry_type_hits, entry_type_misses)
         self._finalize(cycles)
         self._publish_attribution(bucket_counts, entry_counts,
                                   entry_type_hits, entry_type_misses,
@@ -225,9 +227,10 @@ class Machine:
         plain block before its head turns hot) and bumps its profile
         counter; at :data:`~repro.sim.traces.TRACE_THRESHOLD` the head's
         path is recorded — executing per block while recording, so it is
-        accounted exactly like any other unit call.
+        accounted exactly like any other unit call.  Exits are counted
+        and folded as in :meth:`_run_blocks`, without attribution.
         """
-        from repro.sim.blocks import unit_state
+        from repro.sim.blocks import count_exit, unit_state
         from repro.sim.traces import (
             TRACE_EVAL_WINDOW,
             TRACE_THRESHOLD,
@@ -237,11 +240,14 @@ class Machine:
         cpu = self.cpu
         table = trace_table(cpu.program, self.config,
                             getattr(cpu, "workload", None))
+        blocks = table.blocks
         entries = table.entries
         counts = table.counts
         meta = table.meta
         size = len(entries)
         base = table.base
+        carry = blocks.carry
+        histogram = [0] * len(blocks.exits)
         x = unit_state(self)
         cycles = 0
         prev = -1
@@ -260,12 +266,15 @@ class Machine:
                 counts[index] = hot
                 done = cpu.instret
                 if hot == TRACE_THRESHOLD:
-                    # Recording never reaches the budget (it stops a
-                    # block short of it).
+                    # Recording counts the exits of the blocks it runs,
+                    # and never reaches the budget (it stops a block
+                    # short of it).
                     c, prev = table.record_and_run(
-                        index, cpu, prev, x, max_instructions)
-                elif done + entry[1] < max_instructions:
-                    c, prev = entry[0](prev, x)
+                        index, cpu, prev, x, max_instructions, histogram)
+                    cycles += c
+                    continue
+                if done + entry[1] < max_instructions:
+                    c, e = entry[0](prev, x)
                     m = meta[index]
                     if m is not None:
                         # Trace health: how much of the trace actually
@@ -280,18 +289,25 @@ class Machine:
                     # block or a single instruction instead, so the
                     # limit trips at the exact instruction, which is
                     # the last one of the block path's prefix it ran.
-                    c, prev = table.budget_entry(
+                    c, e = table.budget_entry(
                         index, max_instructions - done)[0](prev, x)
                     if cpu.instret >= max_instructions:
-                        blocks = table.blocks
+                        count_exit(histogram, e, blocks)
                         raise ExecutionLimitExceeded(
                             "exceeded %d instructions at PC 0x%x"
                             % (max_instructions, cpu.pc), pc=cpu.pc,
                             mnemonic=blocks.instructions[blocks.path_at(
                                 index, cpu.instret - done)[-1]].mnemonic)
                 cycles += c
+                try:
+                    histogram[e] += 1
+                except IndexError:
+                    count_exit(histogram, e, blocks)
+                prev = carry[e]
         except MemoryError_ as err:
             raise self._locate(err)
+        finally:
+            blocks.fold(histogram, self)
 
         return self._finalize(cycles)
 

@@ -11,6 +11,8 @@ and over generated tagged programs with random attribution maps;
 block-shape unit tests pin the discovery rules.
 """
 
+import sys
+import threading
 import weakref
 
 import pytest
@@ -515,9 +517,11 @@ def test_handler_entry_inside_a_block_heads_its_own_unit():
 def test_attributed_type_hits_and_misses_per_entry():
     """Hits and misses land on the entry that was current, whether the
     typed instruction ends its unit, exits it early, or follows an
-    entry mid-block.  The ``xadd`` ends its unit and hits right after
-    a miss left ``cpu.redirect`` set, so the flag must be cleared
-    before the call.  The budget trips at the exact instruction."""
+    entry mid-block, and whether an entry heads its unit (the run folds
+    them from its exit counts) or not (the loop charges them per call).
+    The ``xadd`` ends its unit and hits right after a miss left
+    ``cpu.redirect`` set: the exit the unit took tells the hit, not the
+    flag.  The budget trips at the exact instruction."""
     text = "\n".join([
         "    li s10, 0x1000",
         "    li s9, 0x1010",
@@ -641,3 +645,88 @@ def test_blocks_do_not_perturb_attribution_runs():
     assert attributed.output == plain.output
     assert attributed.counters.cycles == plain.counters.cycles
     assert attributed.counters.instructions == plain.counters.instructions
+
+
+def test_concurrent_runs_count_their_own_exits(monkeypatch):
+    """One process may simulate the same program on two threads at once
+    (a shard's inline pool thread and a sweep's).  Each run counts the
+    exits its units take in a histogram of its own and folds it when it
+    ends, so attributed runs on one interpreter's fresh tables,
+    which all compile into while they run, each read the counters of
+    a serial run.  The runs differ in length, so none can end with
+    counts that the others' happen to make up, and there are more
+    threads than a small host has cores."""
+    from repro import api
+    from repro.sim import blocks
+
+    scales = (100, 115, 130)
+
+    def run(scale, reference=False):
+        machine, runtime = api._prepare(
+            "lua", WORKLOADS["n-sieve"].lua_source(scale), config="typed")
+        counters = machine.run_reference() if reference else machine.run()
+        return "".join(runtime.output), counters.as_dict()
+
+    monkeypatch.setattr(blocks, "_TABLES", weakref.WeakKeyDictionary())
+    results = [None] * len(scales)
+
+    def worker(slot):
+        results[slot] = run(scales[slot])
+
+    threads = [threading.Thread(target=worker, args=(slot,))
+               for slot in range(len(scales))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [run(scale, reference=True) for scale in scales]
+
+
+def test_exits_of_units_compiled_by_another_run_are_counted():
+    """A unit that another run compiled into the table while this run
+    was going (in a shard, another thread; here a run started from a
+    host call) returns exit ids past the end of this run's histogram,
+    which then grows to count them."""
+    from repro.sim.hostcall import HostInterface
+
+    text = """
+        li a7, 5
+        ecall
+        addi a0, zero, 30
+    loop:
+        addi a1, a1, 1
+        addi a0, a0, -1
+        bne a0, zero, loop
+        ebreak
+    """
+    program = assemble(text)
+    loop = program.labels["loop"]
+    attribution = Attribution(program, [("loop", loop, loop + 12)],
+                              {loop: "LOOP"})
+    started, inner = [], []
+
+    def nest(cpu, *_):
+        # The outer run's host call runs the inner one, which compiles
+        # the units of the rest of the program.
+        if not started:
+            started.append(cpu)
+            inner.append(run())
+        return 0
+
+    def run(reference=False):
+        host = HostInterface()
+        host.register(5, "nest", nest, 3)
+        machine = Machine(Cpu(program, Memory(size=1 << 12), host=host),
+                          attribution=attribution)
+        counters = machine.run_reference() if reference else machine.run()
+        return counters.as_dict()
+
+    outer = run()
+    assert outer == inner[0] == run(reference=True)
+    assert outer["bytecode_counts"] == {"LOOP": 30}

@@ -15,7 +15,9 @@ state on each:
   handler (``chklw``, ``chklb``, a host call), inside a block, a segment
   a block reached through a ``jal``, or a trace, or the instruction
   budget — the same error text, ``pc`` and ``mnemonic``, and the same
-  ``cpu.pc`` and ``cpu.instret``.
+  ``cpu.pc`` and ``cpu.instret``; at the budget also the same cache,
+  front-end and stall totals, which the compiled engines fold from
+  the exits their units took when the run ends.
 """
 
 import weakref
@@ -54,7 +56,7 @@ def _host():
 
 def _run(text, engine, max_instructions=1_000_000):
     """Run ``text`` on ``engine`` over a :data:`RAM`-byte memory;
-    returns ``(cpu, counters, error)``."""
+    returns ``(cpu, counters, error, machine)``."""
     program = assemble(text)
     cpu = Cpu(program, Memory(size=RAM), host=_host())
     attribution = None if engine == "traces" else Attribution(program)
@@ -67,7 +69,7 @@ def _run(text, engine, max_instructions=1_000_000):
             counters = machine.run(max_instructions)
     except SimulationError as err:
         error = err
-    return cpu, counters, error
+    return cpu, counters, error, machine
 
 
 def _outcomes(text, max_instructions=1_000_000):
@@ -126,7 +128,7 @@ tail:
 def test_every_inlined_width_at_the_last_valid_address():
     outcomes = _outcomes(_EDGES)
     assert _trace_count() >= 1
-    ref_cpu, ref_counters, ref_error = outcomes["reference"]
+    ref_cpu, ref_counters, ref_error, _machine = outcomes["reference"]
     assert ref_error is None
     regs = ref_cpu.regs.value
     assert regs[10] == (1 << 64) - 1                      # ld a0
@@ -140,7 +142,7 @@ def test_every_inlined_width_at_the_last_valid_address():
     assert regs[19] == regs[28] != 0                      # wrapped ld
     expected = ref_counters.as_dict()
     for engine in ("traces", "blocks"):
-        cpu, counters, error = outcomes[engine]
+        cpu, counters, error, _machine = outcomes[engine]
         assert error is None
         assert cpu.regs.value == ref_cpu.regs.value
         assert cpu.regs.type == ref_cpu.regs.type
@@ -156,10 +158,10 @@ def test_every_inlined_width_at_the_last_valid_address():
 # -- faults carry the reference loop's context ------------------------------------
 
 def _assert_same_fault(outcomes):
-    ref_cpu, _counters, ref_error = outcomes["reference"]
+    ref_cpu, _counters, ref_error, _machine = outcomes["reference"]
     assert ref_error is not None
     for engine in ("traces", "blocks"):
-        cpu, _counters, error = outcomes[engine]
+        cpu, _counters, error, _machine = outcomes[engine]
         assert type(error) is type(ref_error)
         assert str(error) == str(ref_error)
         assert error.pc == ref_error.pc
@@ -167,6 +169,19 @@ def _assert_same_fault(outcomes):
         assert cpu.pc == ref_cpu.pc
         assert cpu.instret == ref_cpu.instret
     return ref_cpu, ref_error
+
+
+def _model_totals(machine):
+    """The totals the compiled engines fold from their exit counts
+    when a run ends, however it ends."""
+    return (machine.icache.accesses, machine.dcache.accesses,
+            machine.frontend.branches, machine.counters.load_use_stalls)
+
+
+def _assert_same_model_totals(outcomes):
+    expected = _model_totals(outcomes["reference"][3])
+    for engine in ("traces", "blocks"):
+        assert _model_totals(outcomes[engine][3]) == expected, engine
 
 
 def test_fault_past_the_end_of_ram_in_a_block():
@@ -203,9 +218,12 @@ def test_budget_inside_a_loop_names_the_last_instruction():
 def test_budget_on_every_instruction_around_trace_formation():
     # The trace engine records the head at ``loop`` on its 16th
     # dispatch, after 33 instructions; the recorded block ends at 35.
-    for budget in range(30, 40):
-        cpu, error = _assert_same_fault(
-            _outcomes(_SPIN, max_instructions=budget))
+    # The cache, front-end and stall totals the compiled engines fold
+    # at the end of a run are folded on the limit path too.
+    for budget in range(2, 40):
+        outcomes = _outcomes(_SPIN, max_instructions=budget)
+        cpu, error = _assert_same_fault(outcomes)
+        _assert_same_model_totals(outcomes)
         assert cpu.instret == budget
         assert error.mnemonic == ("beq" if budget % 2 else "addi")
 
@@ -291,7 +309,9 @@ callee:
 def test_budget_on_every_instruction_of_a_followed_segment():
     """The budget trips on every instruction of a unit that runs
     through a ``jal`` and a call, with the reference loop's pc and
-    mnemonic: the limit's mnemonic is read from the unit's path."""
+    mnemonic: the limit's mnemonic is read from the unit's path.  The
+    cache, front-end and stall totals match the reference loop's at
+    every budget."""
     program = assemble(_CALLS)
     loop, body, callee = (program.labels[name]
                           for name in ("loop", "body", "callee"))
@@ -300,7 +320,8 @@ def test_budget_on_every_instruction_of_a_followed_segment():
              for pc in (loop, loop + 4, body, callee, callee + 4,
                         callee + 8, body + 4, body + 8)]
     for budget in range(2, 2 + 3 * len(order)):
-        cpu, error = _assert_same_fault(
-            _outcomes(_CALLS, max_instructions=budget))
+        outcomes = _outcomes(_CALLS, max_instructions=budget)
+        cpu, error = _assert_same_fault(outcomes)
+        _assert_same_model_totals(outcomes)
         assert cpu.instret == budget
         assert error.mnemonic == order[(budget - 2) % len(order)]

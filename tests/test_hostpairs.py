@@ -1,6 +1,9 @@
 """The summary step of ``tools/hostpairs.py`` on synthetic runs: medians,
 the parent's IQR, wins per pair by each metric's ``better``, the
-``sim_mcycles`` identity check, and the benchmark-identity refusal."""
+``sim_mcycles`` identity check, and the benchmark-identity refusal;
+and ``--compare`` on synthetic artifacts: the refusal of a prior that
+is unstamped, of another kind or version, or unreadable, and the diff
+of change medians with its note on workloads run on other seeds."""
 
 import importlib.util
 import json
@@ -97,3 +100,60 @@ def test_benchmark_differences(tmp_path):
 def test_parse_seeds_rejects_garbage(text):
     with pytest.raises(ValueError):
         hostpairs.parse_seeds(text)
+
+
+def _artifact(p50, seed=211, **stamp):
+    """A stamped hostbench artifact whose run-hot change median of
+    ``p50_ms`` is ``p50``; ``stamp`` overrides its kind or version."""
+    pairs = [{"seed": seed, "parent": _run(10.0, 50.0, 7.0),
+              "change": _run(p50, 50.0, 7.0)}]
+    payload = schema.artifact(hostpairs.ARTIFACT_KIND, {
+        "change": "abc",
+        "workloads": {"run-hot": hostpairs.summarize(pairs, END_TO_END)}})
+    payload.update(stamp)
+    return payload
+
+
+@pytest.mark.parametrize("stamp", [
+    {"kind": "simperf"}, {"version": schema.SCHEMA_VERSION - 1},
+    {"kind": None, "version": None}], ids=["kind", "version", "unstamped"])
+def test_compare_refuses_a_mismatched_prior(tmp_path, capsys, stamp):
+    prior = tmp_path / "prior.json"
+    payload = {key: value for key, value in _artifact(9.0, **stamp).items()
+               if value is not None}
+    prior.write_text(json.dumps(payload))
+    # Refused before any git command or run.
+    assert hostpairs.main(["--parent", "HEAD", "--workload", "run-hot:1",
+                           "--compare", str(prior)]) == 2
+    assert "refusing to compare" in capsys.readouterr().err
+
+
+def test_compare_refuses_an_unreadable_prior(tmp_path):
+    prior = tmp_path / "prior.json"
+    assert hostpairs.main(["--parent", "HEAD", "--workload", "run-hot:1",
+                           "--compare", str(prior)]) == 2
+    prior.write_text("{not json")
+    assert hostpairs.main(["--parent", "HEAD", "--workload", "run-hot:1",
+                           "--compare", str(prior)]) == 2
+
+
+def test_compare_diffs_change_medians(tmp_path):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(_artifact(8.0)))
+    prior = hostpairs.load_prior(str(path))
+    current = _artifact(6.0)
+    # A workload only this run measured has nothing to compare with.
+    current["workloads"]["sweep-cold"] = current["workloads"]["run-hot"]
+    echoed = []
+    rows = hostpairs.compare_with(prior, current, echo=echoed.append)
+    assert rows == [("run-hot", "p50_ms", 8.0, 6.0, 0.75),
+                    ("run-hot", "ops_per_s", 50.0, 50.0, 1.0),
+                    ("run-hot", "sim_mcycles", 7.0, 7.0, 1.0)]
+    assert len(echoed) == 1 + len(rows)
+    assert "x0.750" in echoed[1]
+    # Medians of other seeds are compared, but not without a note.
+    echoed = []
+    hostpairs.compare_with(prior, _artifact(6.0, seed=221),
+                           echo=echoed.append)
+    assert echoed[1] == "  run-hot: seeds [211] in the prior, [221] here"
+    assert len(echoed) == 2 + len(rows)

@@ -28,6 +28,14 @@ the parent's and the change's medians, the parent's interquartile range
 won (strictly better by the metric's ``better``), and whether the
 median gap exceeds the parent's IQR; plus whether ``sim_mcycles`` was
 identical per seed.  Exits non-zero when a run fails or is incorrect.
+
+``--compare PRIOR`` loads an earlier artifact first and, after the
+run, prints for each workload and end-to-end metric in both the
+prior's change median, this run's and their ratio, noting workloads
+measured on other seeds.  A prior that is
+unstamped, of another kind or of another schema version is refused
+with exit code 2 before anything runs, as ``tools/perfbench.py
+--compare`` does: medians across a schema change do not compare.
 """
 
 import argparse
@@ -186,6 +194,51 @@ def measure(parent_tree, plan, seconds):
     return results
 
 
+def load_prior(path):
+    """Load a prior artifact for ``--compare``: raises
+    :class:`repro.schema.SchemaError` when it is unstamped, of another
+    kind or of another schema version (``OSError`` or ``ValueError``
+    when it cannot be read)."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    return schema.require_artifact(payload, ARTIFACT_KIND)
+
+
+def compare_with(prior, payload, echo=print):
+    """Print, for each workload and end-to-end metric in both
+    artifacts, the prior's change median, this one's and their ratio
+    (this over prior), after a note for each workload whose seeds
+    differ (the medians then come from other runs, so even a metric
+    that repeats per seed may differ); returns the rows."""
+    rows = []
+    notes = []
+    before = prior.get("workloads", {})
+    for workload, summary in payload["workloads"].items():
+        if workload not in before:
+            continue
+        old_summary = before[workload]
+        if old_summary.get("seeds") != summary["seeds"]:
+            notes.append("  %s: seeds %s in the prior, %s here"
+                         % (workload, old_summary.get("seeds"),
+                            summary["seeds"]))
+        old_metrics = old_summary.get("metrics", {})
+        for name, figures in summary["metrics"].items():
+            if name not in old_metrics:
+                continue
+            old = old_metrics[name]["change_median"]
+            new = figures["change_median"]
+            rows.append((workload, name, old, new,
+                         new / old if old else float("inf")))
+    echo("comparison against the prior artifact (change %s):"
+         % prior.get("change"))
+    for note in notes:
+        echo(note)
+    for workload, name, old, new, ratio in rows:
+        echo("  %-10s %-12s %10.4g -> %-10.4g x%.3f"
+             % (workload, name, old, new, ratio))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -194,7 +247,19 @@ def main(argv=None):
                         metavar="NAME:SEEDS",
                         help="a workload and its seeds, e.g. "
                         "sweep-cold:211-220 (repeatable)")
+    parser.add_argument("--compare", metavar="PRIOR",
+                        help="print this run's change medians against "
+                        "a prior BENCH_hostbench.json (refused when it "
+                        "is unstamped or mismatched)")
     args = parser.parse_args(argv)
+    prior = None
+    if args.compare:
+        try:
+            prior = load_prior(args.compare)
+        except (OSError, ValueError) as err:
+            print("hostpairs: refusing to compare against %s: %s"
+                  % (args.compare, err), file=sys.stderr)
+            return 2
     plan = []
     for item in args.workload:
         name, _, seeds = item.partition(":")
@@ -244,6 +309,8 @@ def main(argv=None):
                   % (workload, name, figures["parent_median"],
                      figures["change_median"], figures["wins"],
                      figures["pairs"], figures["parent_iqr"]))
+    if prior is not None:
+        compare_with(prior, payload)
     return 0
 
 
